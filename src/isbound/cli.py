@@ -115,8 +115,9 @@ def _compute_divergence(
         return quadrature_divergence(model, BUILTIN_GENERATORS[kind])
     if method == "mc":
         # a provably infinite divergence is not estimated, it is reported
-        if math.isinf(_CLOSED_FORMS[kind](target, proposal).value):
-            return _CLOSED_FORMS[kind](target, proposal)
+        exact = _CLOSED_FORMS[kind](target, proposal)
+        if math.isinf(exact.value):
+            return exact
         model = make_gaussian_model(target, proposal)
         return monte_carlo_divergence(model, BUILTIN_GENERATORS[kind], mc_samples, seed)
     raise ConfigError(f"unknown divergence method {method!r}")
@@ -502,6 +503,9 @@ def _validate(args) -> None:
     for name in ("mc_samples", "particles", "replicates"):
         if hasattr(args, name) and getattr(args, name) is not None and getattr(args, name) < 1:
             raise ConfigError(f"--{name.replace('_', '-')} must be at least 1")
+    # a Monte Carlo standard error needs at least two samples
+    if args.method == "mc" and args.mc_samples < 2:
+        raise ConfigError("--mc-samples must be at least 2 with --method mc")
 
 
 def _parse_list(raw: str, caster):

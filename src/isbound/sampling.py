@@ -97,14 +97,19 @@ class WeightedEmpiricalMeasure:
         return float(self.weights.sum())
 
 
-def _ratios(model: DensityRatioModel, n: int, seed) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    draws = model.proposal_sampler(n, seed)
-    log_ratio = model.log_ratio(draws)
-    ratios = np.empty_like(log_ratio)
-    big = log_ratio > _EXP_OVERFLOW
-    ratios[big] = np.inf
-    ratios[~big] = np.exp(log_ratio[~big])
-    return draws, log_ratio, ratios
+def _draws_to_ratios(
+    model: DensityRatioModel, draws: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Log ratios and ratios g(v) of proposal draws of any shape.
+
+    ``model.log_ratio`` sees the draws flattened to one dimension.  A log
+    ratio above the overflow limit gives an infinite ratio.
+    """
+    log_ratio = np.reshape(model.log_ratio(draws.ravel()), draws.shape)
+    with np.errstate(over="ignore"):
+        ratios = np.exp(log_ratio)
+    ratios[log_ratio > _EXP_OVERFLOW] = np.inf
+    return log_ratio, ratios
 
 
 def sample_particles(model: DensityRatioModel, n: int, seed: int) -> WeightedEmpiricalMeasure:
@@ -116,7 +121,8 @@ def sample_particles(model: DensityRatioModel, n: int, seed: int) -> WeightedEmp
     """
     if n < 1:
         raise ValueError(f"particle count must be at least 1, got {n}")
-    draws, log_ratio, ratios = _ratios(model, n, seed)
+    draws = np.asarray(model.proposal_sampler(n, seed))
+    log_ratio, ratios = _draws_to_ratios(model, draws)
     bad = ~np.isfinite(ratios)
     if bad.any():
         index = int(np.argmax(bad))
@@ -225,6 +231,51 @@ class TrialOutcome:
         return not (self.mass_ok and self.estimate_ok)
 
 
+def _check_trial(n: int, exact_divergence: float) -> None:
+    if n < 1:
+        raise ValueError(f"particle count must be at least 1, got {n}")
+    if not math.isfinite(exact_divergence):
+        raise ValueError("the exact divergence supplied to a trial must be finite")
+
+
+def _block_draws(model: DensityRatioModel, n: int, seeds: list[int]) -> np.ndarray:
+    """A (len(seeds), n) array whose row i is ``proposal_sampler(n, seeds[i])``."""
+    samples = [model.proposal_sampler(n, seed) for seed in seeds]
+    if len(samples) == 1:
+        # a large replicate is used as drawn, without a copy
+        return np.asarray(samples[0])[np.newaxis]
+    return np.stack(samples)
+
+
+def _trial_block(
+    model: DensityRatioModel,
+    f: ConvexGenerator,
+    exact_divergence: float,
+    n: int,
+    budget: ToleranceBudget,
+    seeds: list[int],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Run one breakdown trial per seed, all in one vectorized pass.
+
+    Row ``i`` holds the n draws of ``proposal_sampler(n, seeds[i])``, so
+    each trial is the same as when run alone.  Returns per-trial arrays:
+    mass, divergence estimate, mass_ok, estimate_ok and overflowed.
+    """
+    # the draws and log ratios are freed before f allocates its temporaries
+    ratios = _draws_to_ratios(model, _block_draws(model, n, seeds))[1]
+    overflowed = ~np.isfinite(ratios).all(axis=1)
+    mass = ratios.mean(axis=1)
+    # overflowed rows get a valid placeholder argument; their estimate is +inf
+    ratios[overflowed] = 1.0
+    divergence_estimate = f(ratios).mean(axis=1)
+    divergence_estimate[overflowed] = np.inf
+    mass_ok = (mass - 1.0) <= budget.epsilon
+    estimate_ok = np.isfinite(divergence_estimate) & (
+        np.abs(exact_divergence - divergence_estimate) <= budget.delta
+    )
+    return mass, divergence_estimate, mass_ok, estimate_ok, overflowed
+
+
 def breakdown_trial(
     model: DensityRatioModel,
     f: ConvexGenerator,
@@ -234,28 +285,26 @@ def breakdown_trial(
     seed: int,
 ) -> TrialOutcome:
     """Run one importance-sampling trial and test both accuracy conditions."""
-    if n < 1:
-        raise ValueError(f"particle count must be at least 1, got {n}")
-    if not math.isfinite(exact_divergence):
-        raise ValueError("the exact divergence supplied to a trial must be finite")
-    _, _, ratios = _ratios(model, n, seed)
-    overflow = not bool(np.isfinite(ratios).all())
-    mass = float(np.mean(ratios))
-    if overflow:
-        divergence_estimate = math.inf
-    else:
-        divergence_estimate = float(np.mean(f(ratios)))
-    mass_ok = (mass - 1.0) <= budget.epsilon
-    estimate_ok = (
-        math.isfinite(divergence_estimate)
-        and abs(exact_divergence - divergence_estimate) <= budget.delta
+    _check_trial(n, exact_divergence)
+    mass, divergence_estimate, mass_ok, estimate_ok, overflowed = _trial_block(
+        model, f, exact_divergence, n, budget, [seed]
     )
-    return TrialOutcome(mass_ok, estimate_ok, mass, divergence_estimate, overflow)
+    return TrialOutcome(
+        bool(mass_ok[0]),
+        bool(estimate_ok[0]),
+        float(mass[0]),
+        float(divergence_estimate[0]),
+        bool(overflowed[0]),
+    )
 
 
 @dataclass(frozen=True)
 class BreakdownReport:
-    """Aggregated breakdown trials at one sample size."""
+    """Aggregated breakdown trials at one sample size.
+
+    A failed trial violates at least one of the two conditions, so the
+    failure count lies between the larger violation count and their sum.
+    """
 
     replicates: int
     n_particles: int
@@ -265,12 +314,34 @@ class BreakdownReport:
     estimate_violations: int
 
     def __post_init__(self):
+        counts = (
+            self.replicates,
+            self.failure_count,
+            self.mass_violations,
+            self.estimate_violations,
+        )
+        if min(counts) < 0:
+            raise ValueError("breakdown counts must be nonnegative")
         if self.failure_count > self.replicates:
             raise ValueError("failure count cannot exceed the number of replicates")
+        if not (
+            max(self.mass_violations, self.estimate_violations)
+            <= self.failure_count
+            <= self.mass_violations + self.estimate_violations
+        ):
+            raise ValueError(
+                "failure count must lie between the larger violation count and their sum"
+            )
 
     @property
     def failure_frequency(self) -> float:
         return self.failure_count / self.replicates
+
+
+# Particles per block of replicates: enough to spread per-call overhead over
+# many small replicates, few enough that a block's temporaries stay in cache.
+# A larger replicate forms a block of its own.
+_BLOCK_PARTICLES = 4096
 
 
 def breakdown_probability(
@@ -287,18 +358,25 @@ def breakdown_probability(
     Replicate ``i`` runs with the integer seed drawn from
     ``SeedSequence(seed)``, so the report is a deterministic function of
     (model, f, n, budget, replicates, seed) and independent of scheduling.
+    Replicates are evaluated in blocks of about 4096 particles; each still
+    draws from its own seed, so the counts do not depend on the block size.
     """
     if replicates < 1:
         raise ValueError(f"replicates must be at least 1, got {replicates}")
-    trial_seeds = np.random.SeedSequence(int(seed)).generate_state(replicates, dtype=np.uint64)
+    _check_trial(n, exact_divergence)
+    state = np.random.SeedSequence(int(seed)).generate_state(replicates, dtype=np.uint64)
+    trial_seeds = state.tolist()
+    rows = max(1, _BLOCK_PARTICLES // n)
     failures = 0
     mass_violations = 0
     estimate_violations = 0
-    for trial_seed in trial_seeds:
-        outcome = breakdown_trial(model, f, exact_divergence, n, budget, int(trial_seed))
-        failures += outcome.failed
-        mass_violations += not outcome.mass_ok
-        estimate_violations += not outcome.estimate_ok
+    for start in range(0, replicates, rows):
+        _, _, mass_ok, estimate_ok, _ = _trial_block(
+            model, f, exact_divergence, n, budget, trial_seeds[start:start + rows]
+        )
+        failures += int(np.count_nonzero(~(mass_ok & estimate_ok)))
+        mass_violations += int(np.count_nonzero(~mass_ok))
+        estimate_violations += int(np.count_nonzero(~estimate_ok))
     return BreakdownReport(
         replicates=replicates,
         n_particles=n,

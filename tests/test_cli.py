@@ -194,6 +194,12 @@ class TestMainEntry:
         assert main(["table2", "--eps", "-0.5"]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_single_mc_sample_is_a_config_error(self, capsys):
+        argv = ["bounds", "--target-mean", "1", "--metric", "kl", "--method", "mc"]
+        assert main(argv + ["--mc-samples", "1"]) == 2
+        assert "--mc-samples must be at least 2" in capsys.readouterr().err
+        assert main(argv + ["--mc-samples", "2"]) == 0
+
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["table2", "--bogus"])

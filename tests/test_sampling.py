@@ -1,6 +1,7 @@
 """Tests for particle weighting, estimation, ESS diagnostics and breakdown."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isbound import (
+    BUILTIN_GENERATORS,
     CHI_SQUARED,
     KULLBACK_LEIBLER,
+    BreakdownReport,
     DensityRatioModel,
     Gaussian1D,
     Observable,
@@ -24,10 +27,15 @@ from isbound import (
     estimate,
     exact_mse,
     gaussian_chi_squared,
+    gaussian_kl,
+    gaussian_squared_hellinger,
+    gaussian_total_variation,
     make_gaussian_model,
     normalized_weights,
     sample_particles,
 )
+from isbound.cli import main
+from isbound.sampling import _BLOCK_PARTICLES
 
 STD_NORMAL = Gaussian1D(0.0, 1.0)
 BUDGET = ToleranceBudget(0.1, 0.1)
@@ -310,3 +318,130 @@ class TestBreakdownProbability:
     def test_rejects_zero_replicates(self):
         with pytest.raises(ValueError):
             breakdown_probability(shifted_model(1.0), KULLBACK_LEIBLER, 0.5, 5, BUDGET, 0, seed=0)
+
+
+class TestBreakdownReport:
+    @pytest.mark.parametrize(
+        "failures, mass, est",
+        [(3, 4, 0), (3, 0, 4), (5, 2, 2), (-1, 0, 0), (1, -1, 1), (1, 1, -1)],
+    )
+    def test_inconsistent_counts_are_rejected(self, failures, mass, est):
+        with pytest.raises(ValueError):
+            BreakdownReport(10, 5, BUDGET, failures, mass, est)
+
+    def test_consistent_counts_are_accepted(self):
+        report = BreakdownReport(10, 5, BUDGET, 6, 4, 3)
+        assert report.failure_frequency == 0.6
+
+
+def summed_trial_counts(model, f, exact, n, replicates, seed):
+    """Failure and violation counts of per-seed trials, run one at a time."""
+    seeds = np.random.SeedSequence(seed).generate_state(replicates, dtype=np.uint64)
+    outcomes = [breakdown_trial(model, f, exact, n, BUDGET, int(s)) for s in seeds]
+    return (
+        sum(o.failed for o in outcomes),
+        sum(not o.mass_ok for o in outcomes),
+        sum(not o.estimate_ok for o in outcomes),
+    )
+
+
+def report_counts(report):
+    return (report.failure_count, report.mass_violations, report.estimate_violations)
+
+
+def one_dimensional_model():
+    """Callables that accept only 1-D input; ratios overflow for draws above 2."""
+
+    def log_ratio(x):
+        if np.ndim(x) != 1:
+            raise ValueError("log_ratio takes one-dimensional input only")
+        return np.where(x > 2.0, 720.0, 0.5 * x - 0.125)
+
+    def sampler(n, seed):
+        return np.random.default_rng(seed).normal(0.0, 1.0, int(n))
+
+    return DensityRatioModel(
+        target_log_density=lambda x: np.zeros_like(x),
+        proposal_log_density=lambda x: np.zeros_like(x),
+        log_ratio=log_ratio,
+        proposal_sampler=sampler,
+    )
+
+
+CLOSED_FORMS = {
+    "kl": gaussian_kl,
+    "chi2": gaussian_chi_squared,
+    "tv": gaussian_total_variation,
+    "hellinger": gaussian_squared_hellinger,
+}
+
+# one replicate per block; a single partial block; full blocks plus a partial one
+BLOCK_SHAPES = [(_BLOCK_PARTICLES + 1, 3), (1, 300), (1000, 10)]
+
+
+class TestBlockedBreakdown:
+    @pytest.mark.parametrize("n, replicates", BLOCK_SHAPES)
+    @pytest.mark.parametrize("kind", list(BUILTIN_GENERATORS), ids=lambda k: k.value)
+    def test_counts_equal_summed_single_trials(self, kind, n, replicates):
+        target = Gaussian1D(1.5, 1.0)
+        exact = CLOSED_FORMS[kind.value](target, STD_NORMAL).value
+        model = make_gaussian_model(target, STD_NORMAL)
+        f = BUILTIN_GENERATORS[kind]
+        report = breakdown_probability(model, f, exact, n, BUDGET, replicates, seed=31)
+        assert report_counts(report) == summed_trial_counts(model, f, exact, n, replicates, 31)
+
+    @pytest.mark.parametrize("n, replicates", [(_BLOCK_PARTICLES + 1, 3), (5, 1000)])
+    @pytest.mark.parametrize("make_model", [overflowing_model, one_dimensional_model])
+    def test_edge_models_match_summed_single_trials(self, make_model, n, replicates):
+        model = make_model()
+        report = breakdown_probability(model, CHI_SQUARED, 0.5, n, BUDGET, replicates, seed=5)
+        expected = summed_trial_counts(model, CHI_SQUARED, 0.5, n, replicates, 5)
+        assert report_counts(report) == expected
+
+    @pytest.mark.parametrize("n", [1, 25, _BLOCK_PARTICLES + 1])
+    def test_trial_matches_direct_computation(self, n):
+        model = shifted_model(2.0)
+        for seed in range(5):
+            ratios = np.exp(model.log_ratio(model.proposal_sampler(n, seed)))
+            outcome = breakdown_trial(model, KULLBACK_LEIBLER, 2.0, n, BUDGET, seed)
+            assert outcome.mass == np.mean(ratios)
+            assert outcome.divergence_estimate == np.mean(KULLBACK_LEIBLER(ratios))
+            assert not outcome.overflowed
+
+    def test_overflowed_trial_has_infinite_estimate(self):
+        outcome = breakdown_trial(overflowing_model(), CHI_SQUARED, 1.0, 4, BUDGET, seed=3)
+        assert outcome.mass == math.inf
+        assert outcome.divergence_estimate == math.inf
+
+    def test_partial_overflow_mixes_outcomes(self):
+        # some rows of a block overflow and others do not
+        model = one_dimensional_model()
+        report = breakdown_probability(model, CHI_SQUARED, 0.5, 5, BUDGET, 1000, seed=5)
+        assert 0 < report.mass_violations < report.replicates
+
+    def test_rejects_bad_particle_count_and_divergence(self):
+        with pytest.raises(ValueError, match="particle count"):
+            breakdown_probability(shifted_model(1.0), KULLBACK_LEIBLER, 0.5, 0, BUDGET, 5, 0)
+        with pytest.raises(ValueError, match="finite"):
+            breakdown_probability(shifted_model(1.0), CHI_SQUARED, math.inf, 5, BUDGET, 5, 0)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# byte-exact outputs recorded before replicates were evaluated in blocks
+GOLDEN_RUNS = {
+    "breakdown_kl_n25.json": "--target-mean 3 --particles 25 --replicates 1000 "
+    "--metric kl --seed 7",
+    "breakdown_tv_n45.json": "--target-mean 2 --target-var 1.5 --particles 45 "
+    "--replicates 1000 --metric tv --seed 11",
+    "breakdown_chi2_n4097.json": "--target-mean 2.5 --particles 4097 --replicates 3 "
+    "--metric chi2 --seed 5",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_breakdown_output_matches_golden(name, tmp_path):
+    out = tmp_path / name
+    argv = ["breakdown", *GOLDEN_RUNS[name].split(), "--format", "json", "--out", str(out)]
+    assert main(argv) == 0
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
