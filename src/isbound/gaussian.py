@@ -13,7 +13,6 @@ as an infinite value rather than an error.
 
 from __future__ import annotations
 
-import heapq
 import math
 import warnings
 from dataclasses import dataclass
@@ -165,11 +164,16 @@ def gaussian_kl(target: Gaussian1D, proposal: Gaussian1D) -> DivergenceValue:
 
 
 def gaussian_squared_hellinger(target: Gaussian1D, proposal: Gaussian1D) -> DivergenceValue:
-    """Squared Hellinger distance, in [0, 2]."""
-    vp, vq = target.variance, proposal.variance
-    coeff = math.sqrt(2.0 * target.std * proposal.std / (vp + vq))
-    overlap = coeff * math.exp(-((target.mean - proposal.mean) ** 2) / (4.0 * (vp + vq)))
-    return DivergenceValue(max(2.0 * (1.0 - overlap), 0.0), "closed_form")
+    """Squared Hellinger distance, in [0, 2], to full relative precision.
+
+    Computed as -2 expm1(log overlap), where t = sp - sq = (vp - vq) / (sp + sq)
+    and log overlap = -log1p(t^2 / (2 sp sq)) / 2 - dm^2 / (4 (vp + vq)).
+    """
+    vp, vq, sp, sq = target.variance, proposal.variance, target.std, proposal.std
+    t = (vp - vq) / (sp + sq)
+    log_c = -0.5 * math.log1p(0.5 * (t / sp) * (t / sq))
+    log_overlap = log_c - (target.mean - proposal.mean) ** 2 / (4.0 * (vp + vq))
+    return DivergenceValue(max(-2.0 * math.expm1(log_overlap), 0.0), "closed_form")
 
 
 def gaussian_chi_squared(target: Gaussian1D, proposal: Gaussian1D) -> DivergenceValue:
@@ -231,95 +235,90 @@ class QuadratureSpec:
 
 _MAX_INTERVALS = 10_000
 
+# QUADPACK qk15 (Piessens et al. 1983): Kronrod nodes on [0, 1] from the outside
+# in, their K15 weights, and the G7 weights (zero on the Kronrod-only nodes)
+_QK15 = np.array([
+    (0.9914553711208126, 0.022935322010529224, 0.0),
+    (0.9491079123427585, 0.06309209262997856, 0.1294849661688697),
+    (0.8648644233597691, 0.10479001032225019, 0.0),
+    (0.7415311855993945, 0.14065325971552592, 0.27970539148927664),
+    (0.5860872354676911, 0.1690047266392679, 0.0),
+    (0.4058451513773972, 0.19035057806478542, 0.3818300505051189),
+    (0.20778495500789848, 0.20443294007529889, 0.0),
+    (0.0, 0.20948214108472782, 0.4179591836734694),
+])
+# the 15 nodes on [-1, 1] and a (15, 2) matrix of their K15 and G7 weights
+_NODES = np.concatenate([-_QK15[:, 0], _QK15[-2::-1, 0]])
+_WEIGHTS = np.concatenate([_QK15[:, 1:], _QK15[-2::-1, 1:]])
+
 
 def adaptive_integral(
     fn: Callable[[np.ndarray], np.ndarray],
     breakpoints,
     spec: QuadratureSpec | None = None,
 ) -> float:
-    """Adaptive-bisection Simpson integration over [min(bp), max(bp)].
+    """Adaptive Gauss-Kronrod (G7/K15) integration over [min(bp), max(bp)].
 
-    Worst-interval-first refinement with Richardson extrapolation and a
-    budget of 10^4 subdivisions.  Divergence is diagnosed (returning +inf)
-    when the integrand overflows, or when its magnitude at a window edge is
-    not relatively negligible and is still not decaying outward, meaning the
-    window captures the divergent shape of the integrand.  An edge value
-    that is non-negligible but decaying means the window is too small to
-    certify the integral, which raises QuadratureError, as does exhausting
-    the subdivision budget.
+    Panels between the breakpoints are refined in sweeps.  Each sweep calls
+    ``fn`` once, on the 15 nodes of every open panel, with overflow and
+    invalid-value warnings silenced, and takes K15 with |K15 - G7| as its
+    error.  Panels within their share of the tolerance left of
+    max(absolute, relative * |total|) are accepted and the rest bisected;
+    over 10^4 bisections raise QuadratureError.  The result is +inf when
+    the integrand overflows, a panel sum is not finite, or a window edge is
+    non-negligible and still growing outward (the window holds the
+    divergent shape of the integrand); a non-negligible but decaying edge
+    means the window is too small and raises QuadratureError.
     """
     spec = spec or QuadratureSpec()
     pts = np.unique(np.asarray(breakpoints, dtype=float))
     if pts.size < 2:
         raise ValueError("need at least two distinct breakpoints")
 
-    def segment(a: float, b: float):
-        m = 0.5 * (a + b)
-        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        values = fn(np.array([a, lm, m, rm, b]))
-        if not np.all(np.isfinite(values)):
-            return math.inf, math.inf, (a, m), (m, b)
-        fa, flm, fm, frm, fb = values
-        coarse = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        fine = left + right
-        err = abs(fine - coarse) / 15.0
-        value = fine + (fine - coarse) / 15.0
-        return value, err, (a, m), (m, b)
-
-    heap: list = []
-    total = 0.0
-    total_err = 0.0
-    counter = 0
-    for a, b in zip(pts[:-1], pts[1:]):
-        value, err, left, right = segment(a, b)
-        if not math.isfinite(value):
-            return math.inf
-        total += value
-        total_err += err
-        heapq.heappush(heap, (-err, counter, err, value, left, right))
-        counter += 1
-
+    lo, hi = pts[:-1], pts[1:]
+    total = accepted_err = 0.0
     splits = 0
-    while total_err > max(spec.absolute_tolerance, spec.relative_tolerance * abs(total)):
-        if not math.isfinite(total):
-            return math.inf
-        if splits >= _MAX_INTERVALS:
-            raise QuadratureError(
-                f"no convergence after {_MAX_INTERVALS} subdivisions "
-                f"(error estimate {total_err:.3e})"
-            )
-        _, _, err, value, left, right = heapq.heappop(heap)
-        total -= value
-        total_err -= err
-        for a, b in (left, right):
-            v, e, lchild, rchild = segment(a, b)
-            if not math.isfinite(v):
+    with np.errstate(over="ignore", invalid="ignore"):
+        while lo.size:
+            half = 0.5 * (hi - lo)
+            nodes = (lo + half)[:, np.newaxis] + half[:, np.newaxis] * _NODES
+            values = np.reshape(fn(nodes.ravel()), nodes.shape)
+            kronrod, gauss = (half[:, np.newaxis] * (values @ _WEIGHTS)).T
+            err = np.abs(kronrod - gauss)
+            if not math.isfinite(estimate := total + float(kronrod.sum())):
                 return math.inf
-            total += v
-            total_err += e
-            heapq.heappush(heap, (-e, counter, e, v, lchild, rchild))
-            counter += 1
-        splits += 1
+            tol = max(spec.absolute_tolerance, spec.relative_tolerance * abs(estimate))
+            remaining = max(tol - accepted_err, 0.0)
+            # either every open panel fits or each gets its width's share
+            ok = err <= remaining * (1.0 if err.sum() <= remaining else half / half.sum())
+            total += float(kronrod[ok].sum())
+            accepted_err += float(err[ok].sum())
+            lo, hi = lo[~ok], hi[~ok]
+            splits += lo.size
+            if splits > _MAX_INTERVALS:
+                raise QuadratureError(
+                    f"no convergence after {_MAX_INTERVALS} subdivisions "
+                    f"(error estimate {accepted_err + float(err[~ok].sum()):.3e})"
+                )
+            mid = 0.5 * (lo + hi)
+            lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
 
-    if not math.isfinite(total):
-        return math.inf
-    if not _edges_certified(fn, float(pts[0]), float(pts[-1]), total, spec):
-        return math.inf
+        if not _edges_certified(fn, float(pts[0]), float(pts[-1]), total, spec):
+            return math.inf
     return total
 
 
 def _edges_certified(fn, lo: float, hi: float, total: float, spec: QuadratureSpec) -> bool:
     """Check the integrand is relatively negligible at the window edges.
 
-    Returns False (diagnosed divergent) for a non-negligible edge whose
-    magnitude is still growing outward; a non-negligible but decaying edge
+    Returns False (diagnosed divergent) when either edge is non-negligible
+    and still growing outward.  Otherwise a non-negligible but decaying edge
     means a finite integral is undercovered and raises QuadratureError.
     """
     width = hi - lo
     step = 1e-3 * width
     negligible = max(spec.absolute_tolerance, spec.relative_tolerance * abs(total))
+    undercovered = []
     for edge, inside in ((lo, lo + step), (hi, hi - step)):
         edge_val, inside_val = np.abs(fn(np.array([edge, inside])))
         if not (math.isfinite(edge_val) and math.isfinite(inside_val)):
@@ -328,9 +327,11 @@ def _edges_certified(fn, lo: float, hi: float, total: float, spec: QuadratureSpe
             continue
         if edge_val >= inside_val * (1.0 - 1e-9):
             return False
+        undercovered.append(f"window edge {edge!r} (value {edge_val!r})")
+    if undercovered:
         raise QuadratureError(
-            f"integrand is not negligible at window edge {edge!r} "
-            f"(value {edge_val!r}); widen the integration window"
+            f"integrand is not negligible at {' and '.join(undercovered)}; "
+            "widen the integration window"
         )
     return True
 
@@ -398,8 +399,7 @@ def _stable_integrand(
     elif kind is DivergenceKind.CHI_SQUARED:
         # (g - 1)^2 q == g^2 q - 2 p + q
         def integrand(x):
-            with np.errstate(over="ignore"):
-                return np.exp(2.0 * lr(x) + lq(x)) - 2.0 * np.exp(lt(x)) + np.exp(lq(x))
+            return np.exp(2.0 * lr(x) + lq(x)) - 2.0 * np.exp(lt(x)) + np.exp(lq(x))
 
     elif kind is DivergenceKind.TOTAL_VARIATION:
         def integrand(x):

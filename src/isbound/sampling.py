@@ -171,8 +171,7 @@ def exact_mse(
         return np.exp(lt(x)) * np.asarray(phi.fn(x), dtype=float)
 
     def second_moment(x):
-        with np.errstate(over="ignore"):
-            return np.exp(2.0 * lr(x) + lq(x)) * np.asarray(phi.fn(x), dtype=float) ** 2
+        return np.exp(2.0 * lr(x) + lq(x)) * np.asarray(phi.fn(x), dtype=float) ** 2
 
     m2 = adaptive_integral(second_moment, points, spec)
     if math.isinf(m2):

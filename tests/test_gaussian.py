@@ -9,19 +9,25 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from isbound import (
+    BUILTIN_GENERATORS,
     CHI_SQUARED,
     KULLBACK_LEIBLER,
     SQUARED_HELLINGER,
     TOTAL_VARIATION,
     DivergenceKind,
     Gaussian1D,
+    Observable,
+    QuadratureError,
     QuadratureSpec,
     adaptive_integral,
     custom_generator,
     density_crossings,
+    exact_mse,
     gaussian_chi_squared,
     gaussian_kl,
     gaussian_squared_hellinger,
@@ -129,6 +135,32 @@ class TestClosedForms:
             2.0 * (1.0 - math.sqrt(10.0 / 26.0)), abs=1e-14
         )
 
+    @pytest.mark.parametrize(
+        "mean, variance",
+        [
+            (1e-5, 1.0),
+            (0.0, 1.0 + 1e-6),
+            (0.0, 1.0 + 1e-9),
+            (0.0, 1.0 - 1e-9),
+            (1e-8, 1.0 + 1e-8),
+            (0.0, 1e-4),
+            (0.0, 25.0),
+            (4.0, 1e-4),
+            (4.0, 25.0),
+            (1.0, 1.0),
+            (0.5, 0.5),
+        ],
+    )
+    def test_squared_hellinger_against_high_precision(self, mean, variance):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            m, v = mpmath.mpf(mean), mpmath.mpf(variance)
+            coeff = mpmath.sqrt(2 * mpmath.sqrt(v) / (v + 1))
+            overlap = coeff * mpmath.exp(-m * m / (4 * (v + 1)))
+            reference = float(2 * (1 - overlap))
+        value = gaussian_squared_hellinger(Gaussian1D(mean, variance), STD_NORMAL).value
+        assert abs(value - reference) <= 1e-15 * reference
+
     def test_chi_squared_values(self):
         assert gaussian_chi_squared(Gaussian1D(2, 1), STD_NORMAL).value == pytest.approx(
             math.exp(4) - 1.0, rel=1e-14
@@ -205,9 +237,19 @@ class TestQuadrature:
         assert math.isinf(d.value)
         assert d.method == "quadrature"
 
-    def test_closed_forms_match_oracle_on_grid(self):
-        from isbound import BUILTIN_GENERATORS
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mean, variance", [(1.3, 3.0), (0.0, 16.0)])
+    def test_infinite_chi2_pairs_emit_no_warnings(self, mean, variance):
+        target = Gaussian1D(mean, variance)
+        model = make_gaussian_model(target, STD_NORMAL)
+        for kind, closed in CLOSED_FORMS.items():
+            value = quadrature_divergence(model, BUILTIN_GENERATORS[kind]).value
+            assert math.isinf(value) == (kind is DivergenceKind.CHI_SQUARED)
+            assert value == pytest.approx(closed(target, STD_NORMAL).value, abs=1e-8)
+        for phi in (Observable.one(), Observable.identity()):
+            assert exact_mse(model, phi, 1) == math.inf
 
+    def test_closed_forms_match_oracle_on_grid(self):
         for m, v in grid_pairs():
             target = Gaussian1D(m, v)
             model = make_gaussian_model(target, STD_NORMAL)
@@ -246,6 +288,62 @@ class TestQuadrature:
         )
         with pytest.raises(ValueError, match="metadata"):
             quadrature_divergence(bare, KULLBACK_LEIBLER)
+
+
+@given(
+    mean=st.floats(min_value=0.0, max_value=4.0),
+    log_variance=st.floats(min_value=math.log(1e-4), max_value=math.log(25.0)),
+)
+@settings(max_examples=150, deadline=None)
+def test_property_closed_forms_match_quadrature(mean, log_variance):
+    """Criterion 6's tolerance for every metric; infinite exactly together."""
+    variance = math.exp(log_variance)
+    # a finite chi2 past e^700 overflows the closed form, a known defect
+    assume(
+        variance >= 2.0
+        or mean * mean / (2.0 - variance) - 0.5 * math.log(variance * (2.0 - variance)) <= 700.0
+    )
+    target = Gaussian1D(mean, variance)
+    model = make_gaussian_model(target, STD_NORMAL)
+    for kind, closed in CLOSED_FORMS.items():
+        exact = closed(target, STD_NORMAL).value
+        approx = quadrature_divergence(model, BUILTIN_GENERATORS[kind]).value
+        assert math.isinf(approx) == math.isinf(exact), kind
+        if math.isfinite(exact):
+            assert abs(approx - exact) <= 1e-8 * max(1.0, exact), kind
+
+
+class TestAdaptiveIntegralContract:
+    """One case per outcome of adaptive_integral besides a plain value."""
+
+    def test_overflowing_integrand_is_infinite(self):
+        def integrand(x):
+            with np.errstate(over="ignore"):
+                return np.exp(x * x)
+
+        assert adaptive_integral(integrand, [-40.0, 40.0]) == math.inf
+
+    def test_growing_edge_is_infinite(self):
+        assert adaptive_integral(lambda x: np.exp(x * x / 1000.0), [-40.0, 40.0]) == math.inf
+
+    def test_growing_edge_outweighs_an_undercovered_one(self):
+        # exp(x/4) is non-negligible but decaying at -40 and growing at +40
+        assert adaptive_integral(lambda x: np.exp(0.25 * x), [-40.0, 40.0]) == math.inf
+
+    def test_decaying_but_non_negligible_edge_raises(self):
+        with pytest.raises(QuadratureError, match="widen"):
+            adaptive_integral(lambda x: np.exp(-0.5 * x * x), [-3.0, 3.0])
+
+    def test_unresolvable_integrand_exhausts_the_subdivision_budget(self):
+        # sin(1/(x - c)) oscillates infinitely often near c; c = c_hi + c_lo is
+        # not a double, so no node lands on it and every value stays finite
+        c_hi, c_lo = 1.0 / 3.0, 1e-17
+
+        def integrand(x):
+            return np.sin(1.0 / ((x - c_hi) - c_lo))
+
+        with pytest.raises(QuadratureError, match="subdivisions"):
+            adaptive_integral(integrand, [-1.0, 1.0])
 
 
 class TestMonteCarlo:

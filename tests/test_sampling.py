@@ -12,6 +12,7 @@ from isbound import (
     BUILTIN_GENERATORS,
     CHI_SQUARED,
     KULLBACK_LEIBLER,
+    TOTAL_VARIATION,
     BreakdownReport,
     DensityRatioModel,
     Gaussian1D,
@@ -45,12 +46,12 @@ def shifted_model(mean: float, variance: float = 1.0):
     return make_gaussian_model(Gaussian1D(mean, variance), STD_NORMAL)
 
 
-def overflowing_model():
-    """A synthetic model whose density ratio always overflows exp()."""
+def overflowing_model(log_ratio: float = 720.0):
+    """A synthetic model whose density ratio is always exp(log_ratio)."""
     return DensityRatioModel(
         target_log_density=lambda x: np.zeros_like(x),
         proposal_log_density=lambda x: np.zeros_like(x),
-        log_ratio=lambda x: np.full_like(np.asarray(x, dtype=float), 720.0),
+        log_ratio=lambda x: np.full_like(np.asarray(x, dtype=float), log_ratio),
         proposal_sampler=lambda n, seed: np.random.default_rng(seed).normal(0, 1, int(n)),
     )
 
@@ -104,6 +105,12 @@ class TestSampleParticles:
     def test_overflow_surfaces_as_warning_with_index(self):
         with pytest.warns(WeightOverflowWarning, match="particle index 0"):
             measure = sample_particles(overflowing_model(), 3, seed=1)
+        assert np.all(np.isinf(measure.weights))
+
+    def test_log_ratio_past_the_cut_overflows_though_exp_is_finite(self):
+        # exp(705) is a finite double; the overflow cut at 700 still applies
+        with pytest.warns(WeightOverflowWarning):
+            measure = sample_particles(overflowing_model(705.0), 3, seed=1)
         assert np.all(np.isinf(measure.weights))
 
 
@@ -410,6 +417,15 @@ class TestBlockedBreakdown:
 
     def test_overflowed_trial_has_infinite_estimate(self):
         outcome = breakdown_trial(overflowing_model(), CHI_SQUARED, 1.0, 4, BUDGET, seed=3)
+        assert outcome.mass == math.inf
+        assert outcome.divergence_estimate == math.inf
+
+    def test_log_ratio_past_the_cut_overflows_the_trial(self):
+        # TV of exp(705) is finite, so only the overflow cut makes this +inf
+        outcome = breakdown_trial(
+            overflowing_model(705.0), TOTAL_VARIATION, 0.5, 4, BUDGET, seed=3
+        )
+        assert outcome.overflowed
         assert outcome.mass == math.inf
         assert outcome.divergence_estimate == math.inf
 
