@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -243,3 +244,28 @@ class TestMainEntry:
         assert fields[3] == "monte_carlo"
         assert float(fields[4]) > 0  # stderr column populated
         assert float(fields[2]) == pytest.approx(0.5, abs=0.1)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# byte-exact outputs recorded before the CLI moved to one row serializer;
+# closed forms only, so the bytes do not depend on the platform's exp
+GOLDEN_CLI_RUNS = {
+    "cli_table1.csv": "table1",
+    "cli_table2.csv": "table2 --seed 3",
+    "cli_table2.json": "table2 --seed 3 --format json",
+    "cli_table3.csv": "table3 --seed 3",
+    "cli_table3.json": "table3 --seed 3 --format json",
+    "cli_bounds_infinite_chi2.csv": "bounds --target-mean 1.3 --target-var 3 --seed 3",
+    "cli_bounds_infinite_chi2.json": "bounds --target-mean 1.3 --target-var 3 --seed 3 "
+    "--format json",
+    "cli_breakdown_kl_n25.csv": "breakdown --target-mean 3 --particles 25 --replicates 1000 "
+    "--metric kl --seed 7",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CLI_RUNS))
+def test_cli_output_matches_golden(name, tmp_path):
+    out = tmp_path / name
+    assert main([*GOLDEN_CLI_RUNS[name].split(), "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
