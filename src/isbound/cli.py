@@ -1,15 +1,18 @@
 """Command-line harness: divergence tables, bound tables, breakdown and ESS runs.
 
-Every command emits CSV (default) or JSON.  Infinite values render as
-``---`` in CSV and ``null`` in JSON.  Output is a deterministic function of
-the configuration and seed, so files are byte-identical across runs.
-Thresholds are printed rounded to two decimals next to a full-precision
-companion column.
+Every command produces one ordered field dict per output row, rendered as
+CSV (default) or JSON.  Infinite values render as ``---`` in CSV and
+``null`` in JSON; a missing value (the standard error of an exact
+divergence) is an empty CSV cell and ``null``.  Output is a deterministic
+function of the configuration and seed, so files are byte-identical across
+runs.  Thresholds are printed rounded to two decimals next to a
+full-precision companion column.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -64,6 +67,7 @@ SEED_ENV_VAR = "ISBOUND_SEED"
 
 TABLE2_MEANS = (2.0, 2.5, 3.0, 3.5)
 TABLE3_VARIANCES = (1e-9, 1e-4, 16.0, 25.0)
+_STD_NORMAL = Gaussian1D(0.0, 1.0)  # the proposal of both paper tables
 
 _CLOSED_FORMS = {
     DivergenceKind.KULLBACK_LEIBLER: gaussian_kl,
@@ -77,10 +81,12 @@ _METRIC_RANGE_CAP = {
     DivergenceKind.SQUARED_HELLINGER: 2.0,
 }
 
-THRESHOLD_CSV_HEADER = (
-    "row_label,metric,divergence,divergence_method,divergence_stderr,"
-    "threshold,threshold_full,necessary_n_integer,epsilon,delta,seed"
+THRESHOLD_FIELDS = (
+    "row_label", "metric", "divergence", "divergence_method", "divergence_stderr",
+    "threshold", "threshold_full", "necessary_n_integer", "epsilon", "delta", "seed",
 )
+TABLE1_FIELDS = ("row_label", "metric", "bound_generic", "bound_symbolic", "abs_deviation",
+                 "epsilon")
 
 
 class ConfigError(ValueError):
@@ -91,8 +97,8 @@ class NumericalError(RuntimeError):
     """A computation cannot produce a meaningful result (CLI exit code 1)."""
 
 
-def _full(x: float) -> str:
-    return repr(float(x))
+class _TwoDecimals(float):
+    """A float shown rounded to two decimals: ``2.70`` in CSV, ``2.7`` in JSON."""
 
 
 def _cell_seed(seed: int, row: int, column: int) -> int:
@@ -103,6 +109,7 @@ def _cell_seed(seed: int, row: int, column: int) -> int:
 def _compute_divergence(
     target: Gaussian1D,
     proposal: Gaussian1D,
+    model,
     kind: DivergenceKind,
     method: str,
     mc_samples: int,
@@ -111,14 +118,12 @@ def _compute_divergence(
     if method == "closed":
         return _CLOSED_FORMS[kind](target, proposal)
     if method == "quadrature":
-        model = make_gaussian_model(target, proposal)
         return quadrature_divergence(model, BUILTIN_GENERATORS[kind])
     if method == "mc":
         # a provably infinite divergence is not estimated, it is reported
         exact = _CLOSED_FORMS[kind](target, proposal)
         if math.isinf(exact.value):
             return exact
-        model = make_gaussian_model(target, proposal)
         return monte_carlo_divergence(model, BUILTIN_GENERATORS[kind], mc_samples, seed)
     raise ConfigError(f"unknown divergence method {method!r}")
 
@@ -148,62 +153,45 @@ class ThresholdRecord:
     report: SampleSizeReport
     seed: int
 
-    def csv_fields(self) -> list[str]:
-        budget = self.report.budget
-        infinite = math.isinf(self.report.threshold)
-        return [
+    def fields(self) -> dict:
+        """The record's output row, keyed by ``THRESHOLD_FIELDS``."""
+        threshold = self.report.threshold
+        return dict(zip(THRESHOLD_FIELDS, (
             self.row_label,
             self.metric.value,
-            "---" if math.isinf(self.divergence.value) else _full(self.divergence.value),
+            self.divergence.value,
             self.divergence.method,
-            "" if self.divergence.std_error is None else _full(self.divergence.std_error),
-            "---" if infinite else f"{self.report.threshold:.2f}",
-            "---" if infinite else _full(self.report.threshold),
-            "---" if infinite else str(self.report.necessary_size),
-            _full(budget.epsilon),
-            _full(budget.delta),
-            str(self.seed),
-        ]
-
-    def json_object(self) -> dict:
-        budget = self.report.budget
-        infinite = math.isinf(self.report.threshold)
-        return {
-            "row_label": self.row_label,
-            "metric": self.metric.value,
-            "divergence": None if math.isinf(self.divergence.value) else self.divergence.value,
-            "divergence_method": self.divergence.method,
-            "divergence_stderr": self.divergence.std_error,
-            "threshold": None if infinite else round(self.report.threshold, 2),
-            "threshold_full": None if infinite else self.report.threshold,
-            "necessary_n_integer": None if infinite else self.report.necessary_size,
-            "epsilon": budget.epsilon,
-            "delta": budget.delta,
-            "seed": self.seed,
-        }
+            self.divergence.std_error,
+            _TwoDecimals(threshold),
+            threshold,
+            self.report.necessary_size,  # +inf exactly when the threshold is
+            self.report.budget.epsilon,
+            self.report.budget.delta,
+            self.seed,
+        )))
 
 
-def _pair_records(
-    row_label: str,
-    row_index: int,
-    target: Gaussian1D,
-    proposal: Gaussian1D,
-    budget: ToleranceBudget,
-    metrics,
-    method: str,
-    mc_samples: int,
-    seed: int,
+def _run_pairs(
+    pairs, epsilon: float, delta: float, method: str, seed: int, mc_samples: int, metric: str
 ) -> list[ThresholdRecord]:
+    """Threshold records for each (label, target, proposal), one per metric.
+
+    Row ``i`` column ``j`` of a Monte Carlo run draws from its own seed.
+    """
+    budget = ToleranceBudget(epsilon, delta)
+    metrics = _resolve_metrics(metric)
     records = []
-    for column, kind in enumerate(metrics):
-        cell_seed = _cell_seed(seed, row_index, column) if method == "mc" else seed
-        d = _compute_divergence(target, proposal, kind, method, mc_samples, cell_seed)
-        report = necessary_sample_size(
-            DivergenceValue(_threshold_input(d, kind), d.method, d.std_error, d.sample_count),
-            kind,
-            budget,
-        )
-        records.append(ThresholdRecord(row_label, kind, d, report, cell_seed))
+    for row, (label, target, proposal) in enumerate(pairs):
+        model = None if method == "closed" else make_gaussian_model(target, proposal)
+        for column, kind in enumerate(metrics):
+            cell_seed = _cell_seed(seed, row, column) if method == "mc" else seed
+            d = _compute_divergence(target, proposal, model, kind, method, mc_samples, cell_seed)
+            report = necessary_sample_size(
+                DivergenceValue(_threshold_input(d, kind), d.method, d.std_error, d.sample_count),
+                kind,
+                budget,
+            )
+            records.append(ThresholdRecord(label, kind, d, report, cell_seed))
     return records
 
 
@@ -228,18 +216,8 @@ def run_table2(
     metric: str = "all",
 ) -> list[ThresholdRecord]:
     """Mean-shift table: target N(m, 1) against proposal N(0, 1)."""
-    budget = ToleranceBudget(epsilon, delta)
-    proposal = Gaussian1D(0.0, 1.0)
-    metrics = _resolve_metrics(metric)
-    records = []
-    for row, m in enumerate(TABLE2_MEANS):
-        records.extend(
-            _pair_records(
-                f"m={m:g}", row, Gaussian1D(m, 1.0), proposal,
-                budget, metrics, method, mc_samples, seed,
-            )
-        )
-    return records
+    pairs = [(f"m={m:g}", Gaussian1D(m, 1.0), _STD_NORMAL) for m in TABLE2_MEANS]
+    return _run_pairs(pairs, epsilon, delta, method, seed, mc_samples, metric)
 
 
 def run_table3(
@@ -255,18 +233,8 @@ def run_table3(
     The chi-squared rows with s2 >= 2 have an infinite divergence and render
     as ``---`` / null whatever the estimation method.
     """
-    budget = ToleranceBudget(epsilon, delta)
-    proposal = Gaussian1D(0.0, 1.0)
-    metrics = _resolve_metrics(metric)
-    records = []
-    for row, s2 in enumerate(TABLE3_VARIANCES):
-        records.extend(
-            _pair_records(
-                f"sigma2={s2:g}", row, Gaussian1D(0.0, s2), proposal,
-                budget, metrics, method, mc_samples, seed,
-            )
-        )
-    return records
+    pairs = [(f"sigma2={s2:g}", Gaussian1D(0.0, s2), _STD_NORMAL) for s2 in TABLE3_VARIANCES]
+    return _run_pairs(pairs, epsilon, delta, method, seed, mc_samples, metric)
 
 
 def run_bounds(
@@ -280,19 +248,13 @@ def run_bounds(
     metric: str = "all",
 ) -> list[ThresholdRecord]:
     """Necessary-sample-size report for one configured Gaussian pair."""
-    budget = ToleranceBudget(epsilon, delta)
     # semicolons keep the label CSV-safe
     label = (
         f"N({target.mean:g};{target.variance:g})"
         f"|N({proposal.mean:g};{proposal.variance:g})"
     )
-    return _pair_records(
-        label, 0, target, proposal, budget, _resolve_metrics(metric),
-        method, mc_samples, seed,
-    )
-
-
-TABLE1_CSV_HEADER = "row_label,metric,bound_generic,bound_symbolic,abs_deviation,epsilon"
+    pairs = [(label, target, proposal)]
+    return _run_pairs(pairs, epsilon, delta, method, seed, mc_samples, metric)
 
 
 def run_table1(n_values, epsilon_values) -> list[dict]:
@@ -307,16 +269,10 @@ def run_table1(n_values, epsilon_values) -> list[dict]:
             for kind, generator in BUILTIN_GENERATORS.items():
                 generic = divergence_bound(int(n), generator, eps)
                 symbolic = symbolic_divergence_bound(kind, int(n), eps)
-                rows.append(
-                    {
-                        "row_label": f"N={int(n)},eps={eps:g}",
-                        "metric": kind.value,
-                        "bound_generic": generic,
-                        "bound_symbolic": symbolic,
-                        "abs_deviation": abs(generic - symbolic),
-                        "epsilon": eps,
-                    }
-                )
+                rows.append(dict(zip(TABLE1_FIELDS, (
+                    f"N={int(n)},eps={eps:g}", kind.value, generic, symbolic,
+                    abs(generic - symbolic), eps,
+                ))))
     return rows
 
 
@@ -383,49 +339,47 @@ def run_ess(
     }
 
 
-def render_csv(command: str, payload) -> str:
-    if command in ("table2", "table3", "bounds"):
-        lines = [THRESHOLD_CSV_HEADER]
-        lines.extend(",".join(record.csv_fields()) for record in payload)
-    elif command == "table1":
-        lines = [TABLE1_CSV_HEADER]
-        for row in payload:
-            lines.append(
-                ",".join(
-                    [
-                        row["row_label"],
-                        row["metric"],
-                        _full(row["bound_generic"]),
-                        _full(row["bound_symbolic"]),
-                        _full(row["abs_deviation"]),
-                        _full(row["epsilon"]),
-                    ]
-                )
-            )
-    else:  # breakdown / ess: single-record key,value table
-        lines = [",".join(str(k) for k in payload)]
-        lines.append(
-            ",".join(
-                "---" if isinstance(v, float) and math.isinf(v) else str(v)
-                for v in payload.values()
-            )
-        )
-    return "\n".join(lines) + "\n"
+# column headers of the table commands, which print them even without rows
+_HEADERS = dict(table1=TABLE1_FIELDS, table2=THRESHOLD_FIELDS, table3=THRESHOLD_FIELDS,
+                bounds=THRESHOLD_FIELDS)
 
 
-def _json_safe(value):
-    if isinstance(value, float) and math.isinf(value):
-        return None
+def _rows(payload) -> list[dict]:
+    """A command's result as its ordered field dicts, one per output row."""
+    if isinstance(payload, dict):  # breakdown / ess: a single record
+        return [payload]
+    return [row.fields() if isinstance(row, ThresholdRecord) else row for row in payload]
+
+
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        if math.isinf(value):
+            return "---"
+        return f"{value:.2f}" if isinstance(value, _TwoDecimals) else repr(float(value))
+    return str(value)
+
+
+def _json_value(value):
+    if isinstance(value, float):
+        if math.isinf(value):
+            return None
+        if isinstance(value, _TwoDecimals):
+            return round(value, 2)
     return value
 
 
+def render_csv(command: str, payload) -> str:
+    rows = _rows(payload)
+    header = _HEADERS.get(command) or list(rows[0])
+    lines = [",".join(header)]
+    lines.extend(",".join(_csv_cell(value) for value in row.values()) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
 def render_json(command: str, payload, config: dict) -> str:
-    if command in ("table2", "table3", "bounds"):
-        rows = [record.json_object() for record in payload]
-    elif command == "table1":
-        rows = payload
-    else:
-        rows = [{k: _json_safe(v) for k, v in payload.items()}]
+    rows = [{key: _json_value(value) for key, value in row.items()} for row in _rows(payload)]
     return json.dumps({"config": config, "rows": rows}, indent=2) + "\n"
 
 
@@ -449,7 +403,13 @@ def _add_common(parser: argparse.ArgumentParser, pair: bool = True) -> None:
     parser.add_argument("--out", default=None, help="write output to PATH instead of stdout")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``isbound`` argument parser, built on first use and shared by every call.
+
+    Parsing leaves the parser unchanged, so one instance serves all ``main``
+    calls of a process; callers must not modify it.
+    """
     parser = argparse.ArgumentParser(
         prog="isbound",
         description="f-divergences and necessary sample sizes for importance sampling",
@@ -485,23 +445,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_seed(args) -> int:
     if args.seed is not None:
-        return args.seed
-    raw = os.environ.get(SEED_ENV_VAR, "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
+        seed, source = args.seed, "--seed"
+    else:
+        raw, source = os.environ.get(SEED_ENV_VAR, "0"), SEED_ENV_VAR
+        try:
+            seed = int(raw)
+        except ValueError:
+            raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
+    if seed < 0:
+        raise ConfigError(f"{source} must be non-negative, got {seed}")
+    return seed
 
 
 def _validate(args) -> None:
-    for name in ("target_var", "proposal_var"):
-        if hasattr(args, name) and getattr(args, name) <= 0:
+    for name in ("target_mean", "target_var", "proposal_mean", "proposal_var", "eps", "delta"):
+        if not math.isfinite(getattr(args, name, 0.0)):
+            raise ConfigError(f"--{name.replace('_', '-')} must be finite")
+    for name in ("target_var", "proposal_var", "eps", "delta"):
+        if getattr(args, name, 1.0) <= 0:
             raise ConfigError(f"--{name.replace('_', '-')} must be positive")
-    for name in ("eps", "delta"):
-        if hasattr(args, name) and getattr(args, name) <= 0:
-            raise ConfigError(f"--{name} must be positive")
     for name in ("mc_samples", "particles", "replicates"):
-        if hasattr(args, name) and getattr(args, name) is not None and getattr(args, name) < 1:
+        if getattr(args, name, 1) < 1:
             raise ConfigError(f"--{name.replace('_', '-')} must be at least 1")
     # a Monte Carlo standard error needs at least two samples
     if args.method == "mc" and args.mc_samples < 2:
@@ -510,26 +474,27 @@ def _validate(args) -> None:
 
 def _parse_list(raw: str, caster):
     try:
-        return [caster(token) for token in raw.split(",") if token.strip()]
+        values = [caster(token) for token in raw.split(",") if token.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad list {raw!r}: {exc}") from None
+    if not all(math.isfinite(value) for value in values):
+        raise ConfigError(f"bad list {raw!r}: values must be finite")
+    return values
 
 
 def _dispatch(args, seed: int):
     if args.command == "table1":
         return run_table1(_parse_list(args.n_list, int), _parse_list(args.eps_list, float))
+    options = (args.eps, args.delta, args.method, seed, args.mc_samples, args.metric)
     if args.command == "table2":
-        return run_table2(args.eps, args.delta, args.method, seed, args.mc_samples, args.metric)
+        return run_table2(*options)
     if args.command == "table3":
-        return run_table3(args.eps, args.delta, args.method, seed, args.mc_samples, args.metric)
+        return run_table3(*options)
 
     target = Gaussian1D(args.target_mean, args.target_var)
     proposal = Gaussian1D(args.proposal_mean, args.proposal_var)
     if args.command == "bounds":
-        return run_bounds(
-            target, proposal, args.eps, args.delta, args.method,
-            seed, args.mc_samples, args.metric,
-        )
+        return run_bounds(target, proposal, *options)
     if args.command == "breakdown":
         return run_breakdown(
             target, proposal, args.metric, args.particles, args.replicates,
@@ -541,8 +506,7 @@ def _dispatch(args, seed: int):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         _validate(args)
         seed = _resolve_seed(args)

@@ -318,11 +318,13 @@ def _edges_certified(fn, lo: float, hi: float, total: float, spec: QuadratureSpe
     width = hi - lo
     step = 1e-3 * width
     negligible = max(spec.absolute_tolerance, spec.relative_tolerance * abs(total))
+    # both edges and a point just inside each, in one integrand call
+    values = np.abs(fn(np.array([lo, lo + step, hi, hi - step])))
+    if not np.isfinite(values).all():
+        return False
+    lo_val, lo_inside, hi_val, hi_inside = values.tolist()
     undercovered = []
-    for edge, inside in ((lo, lo + step), (hi, hi - step)):
-        edge_val, inside_val = np.abs(fn(np.array([edge, inside])))
-        if not (math.isfinite(edge_val) and math.isfinite(inside_val)):
-            return False
+    for edge, edge_val, inside_val in ((lo, lo_val, lo_inside), (hi, hi_val, hi_inside)):
         if edge_val * width <= negligible:
             continue
         if edge_val >= inside_val * (1.0 - 1e-9):

@@ -9,6 +9,7 @@ import pytest
 from isbound import DivergenceKind, Gaussian1D
 from isbound.cli import (
     ConfigError,
+    build_parser,
     main,
     render_csv,
     render_json,
@@ -244,6 +245,79 @@ class TestMainEntry:
         assert fields[3] == "monte_carlo"
         assert float(fields[4]) > 0  # stderr column populated
         assert float(fields[2]) == pytest.approx(0.5, abs=0.1)
+
+    def test_cached_parser_serves_mixed_calls(self, capsys, monkeypatch):
+        monkeypatch.delenv("ISBOUND_SEED", raising=False)
+        first = ["bounds", "--target-mean", "2", "--format", "json"]
+        assert main(first) == 0
+        expected = capsys.readouterr().out
+        with pytest.raises(SystemExit) as excinfo:
+            main(["table2", "--bogus"])
+        assert excinfo.value.code == 2
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--help"])
+        assert excinfo.value.code == 0
+        help_text = capsys.readouterr().out
+        for command in ("table1", "table2", "table3", "bounds", "breakdown", "ess"):
+            assert command in help_text
+        assert main(["table2", "--eps", "-0.5"]) == 2
+        assert main(["table3", "--metric", "kl", "--format", "json"]) == 0
+        assert main(["bounds", "--target-mean", "1", "--metric", "tv", "--seed", "4"]) == 0
+        assert main(["table1", "--n-list", "1,2"]) == 0
+        assert main(["ess", "--particles", "10"]) == 0
+        capsys.readouterr()
+        assert main(first) == 0
+        assert capsys.readouterr().out == expected
+        assert build_parser() is build_parser()
+
+    def test_seed_env_var_is_read_on_every_call(self, capsys, monkeypatch):
+        argv = ["ess", "--target-mean", "1", "--particles", "10"]
+        for seed in ("4", "5"):
+            monkeypatch.setenv("ISBOUND_SEED", seed)
+            assert main(argv) == 0
+            assert capsys.readouterr().out.splitlines()[1].split(",")[-1] == seed
+
+
+# commands that draw from the seed
+SEEDED_ARGV = {
+    "bounds-mc": ["bounds", "--target-mean", "1", "--metric", "kl", "--method", "mc",
+                  "--mc-samples", "100"],
+    "breakdown": ["breakdown", "--target-mean", "1", "--metric", "kl", "--particles", "5",
+                  "--replicates", "5"],
+    "ess": ["ess", "--particles", "10"],
+}
+
+NON_FINITE_ARGV = {
+    "target-mean-nan": ["bounds", "--target-mean", "nan"],
+    "target-var-inf": ["bounds", "--target-var", "inf"],
+    "proposal-mean-minus-inf": ["ess", "--proposal-mean=-inf"],
+    "proposal-var-nan": ["breakdown", "--proposal-var", "nan", "--metric", "kl"],
+    "eps-nan": ["table2", "--eps", "nan"],
+    "delta-inf": ["table3", "--delta", "inf"],
+    "eps-list-nan": ["table1", "--eps-list", "0,nan"],
+}
+
+
+class TestInvalidConfigExitsTwo:
+    @pytest.mark.parametrize("command", sorted(SEEDED_ARGV))
+    def test_negative_seed_flag(self, command, capsys):
+        assert main([*SEEDED_ARGV[command], "--seed", "-1"]) == 2
+        assert "config error: --seed must be non-negative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(SEEDED_ARGV))
+    def test_negative_seed_env_var(self, command, capsys, monkeypatch):
+        monkeypatch.setenv("ISBOUND_SEED", "-1")
+        assert main(SEEDED_ARGV[command]) == 2
+        assert "config error: ISBOUND_SEED must be non-negative" in capsys.readouterr().err
+
+    def test_negative_seed_without_draws(self, capsys):
+        assert main(["table2", "--seed", "-3"]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(NON_FINITE_ARGV))
+    def test_non_finite_value(self, case, capsys):
+        assert main(NON_FINITE_ARGV[case]) == 2
+        assert "config error" in capsys.readouterr().err
 
 
 GOLDEN = Path(__file__).parent / "golden"
