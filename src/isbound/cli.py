@@ -270,7 +270,7 @@ def run_table1(n_values, epsilon_values) -> list[dict]:
                 generic = divergence_bound(int(n), generator, eps)
                 symbolic = symbolic_divergence_bound(kind, int(n), eps)
                 rows.append(dict(zip(TABLE1_FIELDS, (
-                    f"N={int(n)},eps={eps:g}", kind.value, generic, symbolic,
+                    f"N={int(n)};eps={eps:g}", kind.value, generic, symbolic,
                     abs(generic - symbolic), eps,
                 ))))
     return rows

@@ -1,5 +1,6 @@
 """CLI harness tests: table content, rendering, determinism, exit codes."""
 
+import csv
 import json
 import math
 from pathlib import Path
@@ -343,3 +344,10 @@ def test_cli_output_matches_golden(name, tmp_path):
     out = tmp_path / name
     assert main([*GOLDEN_CLI_RUNS[name].split(), "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("cli_*.csv")), ids=lambda p: p.name)
+def test_golden_csv_rows_match_header_width(path):
+    header, *rows = csv.reader(path.read_text().splitlines())
+    assert rows
+    assert all(len(row) == len(header) for row in rows)
