@@ -45,7 +45,9 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # exp() overflows just above 709; ratios beyond this are treated as +inf
 _EXP_OVERFLOW = 700.0
 
-SeedLike = Union[int, np.random.SeedSequence]
+# a proposal sampler's seed; samplers pass it to np.random.default_rng, which
+# returns an already-seeded Generator unchanged
+SeedLike = Union[int, np.random.SeedSequence, np.random.Generator]
 
 
 class QuadratureError(RuntimeError):
@@ -92,8 +94,11 @@ class DensityRatioModel:
     """A target/proposal pair exposing log-densities and log density ratio.
 
     ``proposal_sampler(n, seed)`` must return ``n`` i.i.d. proposal draws and
-    be deterministic for a given seed.  ``target`` and ``proposal`` carry the
-    Gaussian parameters used to size quadrature windows.
+    be deterministic for a given seed.  The seed may be an int, a
+    ``SeedSequence`` or an already-seeded ``np.random.Generator``; samplers
+    pass it to ``np.random.default_rng``, which returns a Generator as is.
+    ``target`` and ``proposal`` carry the Gaussian parameters used to size
+    quadrature windows.
     """
 
     target_log_density: Callable[[np.ndarray], np.ndarray]

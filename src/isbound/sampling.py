@@ -8,15 +8,19 @@ experiment measures.
 
 Replicated experiments derive one integer seed per replicate from the
 master seed through ``numpy.random.SeedSequence``, so results do not depend
-on scheduling and are reproducible from the master seed alone.
+on scheduling and are reproducible from the master seed alone.  Breakdown
+replicates compute the generator states of all their seeds in one pass and
+draw through one reused generator, exactly as ``default_rng(seed)`` would.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -26,6 +30,7 @@ from .gaussian import (
     _EXP_OVERFLOW,
     DensityRatioModel,
     QuadratureSpec,
+    SeedLike,
     WeightOverflowWarning,
     _window_breakpoints,
     adaptive_integral,
@@ -237,9 +242,104 @@ def _check_trial(n: int, exact_divergence: float) -> None:
         raise ValueError("the exact divergence supplied to a trial must be finite")
 
 
-def _block_draws(model: DensityRatioModel, n: int, seeds: list[int]) -> np.ndarray:
-    """A (len(seeds), n) array whose row i is ``proposal_sampler(n, seeds[i])``."""
-    samples = [model.proposal_sampler(n, seed) for seed in seeds]
+# numpy's SeedSequence hashing constants and pool size (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+# PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK_128 = (1 << 128) - 1
+
+
+def _hash_steps(init: int, mult: int, count: int) -> list[tuple[np.uint32, np.uint32]]:
+    """(xor, multiplier) of ``count`` successive hashmix calls.
+
+    The hash constant advances the same way whatever the data, so every
+    seed's lane uses the same sequence.
+    """
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & 0xFFFFFFFF)
+    return [(np.uint32(a), np.uint32(b)) for a, b in zip(consts, consts[1:])]
+
+
+def _hashmix(lanes: np.ndarray, step: tuple[np.uint32, np.uint32]) -> np.ndarray:
+    xor, mult = step
+    lanes = (lanes ^ xor) * mult
+    return lanes ^ (lanes >> np.uint32(16))
+
+
+def _pcg64_states(seeds: Iterable[int]) -> list[dict[str, int]]:
+    """``np.random.PCG64(seed).state["state"]`` of every uint64 seed, in one pass.
+
+    Runs ``SeedSequence(seed).generate_state(4, np.uint64)`` on uint32
+    arrays with one lane per seed, then PCG64's ``srandom`` step in Python
+    ints.  A seed below 2**32 has a high word of 0, as numpy pads its pool.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    entropy = [seeds.astype(np.uint32), (seeds >> np.uint64(32)).astype(np.uint32)]
+    entropy += [np.zeros_like(entropy[0])] * (_POOL_SIZE - len(entropy))
+    steps = iter(_hash_steps(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE))
+    pool = [_hashmix(word, next(steps)) for word in entropy]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                hashed = _hashmix(pool[src], next(steps))
+                mixed = pool[dst] * np.uint32(_MIX_MULT_L) - hashed * np.uint32(_MIX_MULT_R)
+                pool[dst] = mixed ^ (mixed >> np.uint32(16))
+    words = [
+        _hashmix(pool[i % _POOL_SIZE], step).astype(np.uint64)
+        for i, step in enumerate(_hash_steps(_INIT_B, _MULT_B, 2 * _POOL_SIZE))
+    ]
+    # little-endian uint32 pairs form the four uint64 words of the state
+    s0, s1, s2, s3 = (
+        (words[2 * k] | words[2 * k + 1] << np.uint64(32)).tolist() for k in range(4)
+    )
+    states = []
+    for hi, lo, seq_hi, seq_lo in zip(s0, s1, s2, s3):
+        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK_128
+        state = ((inc + (hi << 64 | lo)) * _PCG64_MULT + inc) & _MASK_128
+        states.append({"state": state, "inc": inc})
+    return states
+
+
+def _pcg64_state(state: dict[str, int]) -> dict:
+    """The full ``PCG64.state`` of a freshly seeded generator."""
+    return {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
+
+
+@functools.cache
+def _bulk_seeding_matches_numpy() -> bool:
+    """Whether ``_pcg64_states`` reproduces this numpy's own seeding."""
+    seeds = (1, 2**64 - 1)
+    return all(
+        _pcg64_state(state) == np.random.PCG64(seed).state
+        for seed, state in zip(seeds, _pcg64_states(seeds))
+    )
+
+
+def _replicate_rngs(seeds: list[int]) -> Iterator[SeedLike]:
+    """Per seed, a ``proposal_sampler`` seed that draws as ``default_rng(seed)``.
+
+    All states are computed in one pass and loaded in turn into one
+    Generator, which is yielded for every seed: draw from it before taking
+    the next.  If the bulk states ever differ from numpy's, the int seeds
+    are yielded instead.
+    """
+    if not _bulk_seeding_matches_numpy():
+        yield from seeds
+        return
+    bit_generator = np.random.PCG64(0)
+    generator = np.random.Generator(bit_generator)
+    for state in _pcg64_states(seeds):
+        bit_generator.state = _pcg64_state(state)
+        yield generator
+
+
+def _block_draws(model: DensityRatioModel, n: int, rngs: Iterable[SeedLike]) -> np.ndarray:
+    """A (replicates, n) array whose row i is ``proposal_sampler(n, rng_i)``."""
+    samples = [model.proposal_sampler(n, rng) for rng in rngs]
     if len(samples) == 1:
         # a large replicate is used as drawn, without a copy
         return np.asarray(samples[0])[np.newaxis]
@@ -252,16 +352,16 @@ def _trial_block(
     exact_divergence: float,
     n: int,
     budget: ToleranceBudget,
-    seeds: list[int],
+    rngs: Iterable[SeedLike],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Run one breakdown trial per seed, all in one vectorized pass.
+    """Run one breakdown trial per replicate generator, all in one vectorized pass.
 
-    Row ``i`` holds the n draws of ``proposal_sampler(n, seeds[i])``, so
+    Row ``i`` holds the n draws of ``proposal_sampler(n, rng_i)``, so
     each trial is the same as when run alone.  Returns per-trial arrays:
     mass, divergence estimate, mass_ok, estimate_ok and overflowed.
     """
     # the draws and log ratios are freed before f allocates its temporaries
-    ratios = _draws_to_ratios(model, _block_draws(model, n, seeds))[1]
+    ratios = _draws_to_ratios(model, _block_draws(model, n, rngs))[1]
     overflowed = ~np.isfinite(ratios).all(axis=1)
     mass = ratios.mean(axis=1)
     # overflowed rows get a valid placeholder argument; their estimate is +inf
@@ -286,7 +386,7 @@ def breakdown_trial(
     """Run one importance-sampling trial and test both accuracy conditions."""
     _check_trial(n, exact_divergence)
     mass, divergence_estimate, mass_ok, estimate_ok, overflowed = _trial_block(
-        model, f, exact_divergence, n, budget, [seed]
+        model, f, exact_divergence, n, budget, _replicate_rngs([seed])
     )
     return TrialOutcome(
         bool(mass_ok[0]),
@@ -358,20 +458,21 @@ def breakdown_probability(
     ``SeedSequence(seed)``, so the report is a deterministic function of
     (model, f, n, budget, replicates, seed) and independent of scheduling.
     Replicates are evaluated in blocks of about 4096 particles; each still
-    draws from its own seed, so the counts do not depend on the block size.
+    draws what ``default_rng`` of its own seed draws, so the counts do not
+    depend on the block size.
     """
     if replicates < 1:
         raise ValueError(f"replicates must be at least 1, got {replicates}")
     _check_trial(n, exact_divergence)
     state = np.random.SeedSequence(int(seed)).generate_state(replicates, dtype=np.uint64)
-    trial_seeds = state.tolist()
+    rngs = _replicate_rngs(state.tolist())
     rows = max(1, _BLOCK_PARTICLES // n)
     failures = 0
     mass_violations = 0
     estimate_violations = 0
-    for start in range(0, replicates, rows):
+    for _ in range(0, replicates, rows):
         _, _, mass_ok, estimate_ok, _ = _trial_block(
-            model, f, exact_divergence, n, budget, trial_seeds[start:start + rows]
+            model, f, exact_divergence, n, budget, itertools.islice(rngs, rows)
         )
         failures += int(np.count_nonzero(~(mass_ok & estimate_ok)))
         mass_violations += int(np.count_nonzero(~mass_ok))

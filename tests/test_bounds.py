@@ -173,10 +173,6 @@ class TestNecessarySampleSize:
         with pytest.raises(ValueError):
             necessary_sample_size(-0.1, KL, BUDGET)
 
-    def test_only_half_failure_probability_supported(self):
-        with pytest.raises(NotImplementedError):
-            necessary_sample_size(1.0, KL, BUDGET, failure_probability=0.25)
-
     def test_relative_delta_is_plain_reparametrization(self):
         # delta given as a fraction of the divergence equals the absolute call
         d = 3.2

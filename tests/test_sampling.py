@@ -35,8 +35,9 @@ from isbound import (
     normalized_weights,
     sample_particles,
 )
+from isbound import sampling
 from isbound.cli import main
-from isbound.sampling import _BLOCK_PARTICLES
+from isbound.sampling import _BLOCK_PARTICLES, _pcg64_states, _replicate_rngs
 
 STD_NORMAL = Gaussian1D(0.0, 1.0)
 BUDGET = ToleranceBudget(0.1, 0.1)
@@ -440,6 +441,40 @@ class TestBlockedBreakdown:
             breakdown_probability(shifted_model(1.0), KULLBACK_LEIBLER, 0.5, 0, BUDGET, 5, 0)
         with pytest.raises(ValueError, match="finite"):
             breakdown_probability(shifted_model(1.0), CHI_SQUARED, math.inf, 5, BUDGET, 5, 0)
+
+
+# uint64 replicate seeds as breakdown runs derive them, plus the word edges
+BULK_SEEDS = np.random.SeedSequence(2026).generate_state(10_000, dtype=np.uint64).tolist() + [
+    0, 1, 2**32 - 1, 2**32, 2**64 - 1
+]
+
+
+class TestBulkSeeding:
+    def test_states_match_numpy_seeding(self):
+        states = _pcg64_states(BULK_SEEDS)
+        assert len(states) == len(BULK_SEEDS)
+        for seed, state in zip(BULK_SEEDS, states):
+            assert state == np.random.PCG64(seed).state["state"], seed
+
+    def test_reused_generator_draws_as_default_rng(self):
+        seeds = BULK_SEEDS[:2000] + BULK_SEEDS[-5:]
+        for seed, rng in zip(seeds, _replicate_rngs(seeds), strict=True):
+            expected = np.random.default_rng(seed).normal(3, 1.7, 25)
+            assert np.array_equal(rng.normal(3, 1.7, 25), expected), seed
+
+    def test_numpy_disagreement_falls_back_to_int_seeds(self, monkeypatch):
+        exact = gaussian_kl(Gaussian1D(1.5, 1.0), STD_NORMAL).value
+        args = (shifted_model(1.5), KULLBACK_LEIBLER, exact, 25, BUDGET, 500)
+        assert sampling._bulk_seeding_matches_numpy()
+        fast = breakdown_probability(*args, seed=13)
+
+        def no_bulk_states(seeds):
+            raise AssertionError("the fallback must not compute bulk states")
+
+        monkeypatch.setattr(sampling, "_bulk_seeding_matches_numpy", lambda: False)
+        monkeypatch.setattr(sampling, "_pcg64_states", no_bulk_states)
+        assert list(_replicate_rngs([5, 2**64 - 1])) == [5, 2**64 - 1]
+        assert breakdown_probability(*args, seed=13) == fast
 
 
 GOLDEN = Path(__file__).parent / "golden"
