@@ -270,12 +270,12 @@ def _hashmix(lanes: np.ndarray, step: tuple[np.uint32, np.uint32]) -> np.ndarray
     return lanes ^ (lanes >> np.uint32(16))
 
 
-def _pcg64_states(seeds: Iterable[int]) -> list[dict[str, int]]:
-    """``np.random.PCG64(seed).state["state"]`` of every uint64 seed, in one pass.
+def _seed_sequence_words(seeds: Iterable[int]) -> list[np.ndarray]:
+    """``SeedSequence(seed).generate_state(4, np.uint64)`` of every uint64 seed.
 
-    Runs ``SeedSequence(seed).generate_state(4, np.uint64)`` on uint32
-    arrays with one lane per seed, then PCG64's ``srandom`` step in Python
-    ints.  A seed below 2**32 has a high word of 0, as numpy pads its pool.
+    Array ``k`` of the result holds word ``k`` of every seed.  Runs on
+    uint32 arrays, one lane per seed.  A seed below 2**32 has a high word
+    of 0, as numpy pads its pool.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
     entropy = [seeds.astype(np.uint32), (seeds >> np.uint64(32)).astype(np.uint32)]
@@ -292,34 +292,38 @@ def _pcg64_states(seeds: Iterable[int]) -> list[dict[str, int]]:
         _hashmix(pool[i % _POOL_SIZE], step).astype(np.uint64)
         for i, step in enumerate(_hash_steps(_INIT_B, _MULT_B, 2 * _POOL_SIZE))
     ]
-    # little-endian uint32 pairs form the four uint64 words of the state
-    s0, s1, s2, s3 = (
-        (words[2 * k] | words[2 * k + 1] << np.uint64(32)).tolist() for k in range(4)
-    )
-    states = []
-    for hi, lo, seq_hi, seq_lo in zip(s0, s1, s2, s3):
+    # little-endian uint32 pairs form each uint64 word
+    return [words[2 * k] | words[2 * k + 1] << np.uint64(32) for k in range(4)]
+
+
+def _pcg64_states(seeds: Iterable[int]) -> Iterator[dict[str, int]]:
+    """``np.random.PCG64(seed).state["state"]`` of every uint64 seed, in turn.
+
+    The seed words of all seeds come from one vectorized pass; PCG64's
+    ``srandom`` step runs in Python ints as each state is taken.
+    """
+    for hi, lo, seq_hi, seq_lo in zip(*(w.tolist() for w in _seed_sequence_words(seeds))):
         inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK_128
         state = ((inc + (hi << 64 | lo)) * _PCG64_MULT + inc) & _MASK_128
-        states.append({"state": state, "inc": inc})
-    return states
+        yield {"state": state, "inc": inc}
 
 
-def _pcg64_state(state: dict[str, int]) -> dict:
+def _fresh_pcg64_state(state: dict[str, int]) -> dict:
     """The full ``PCG64.state`` of a freshly seeded generator."""
     return {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
 
 
 @functools.cache
 def _bulk_seeding_matches_numpy() -> bool:
-    """Whether ``_pcg64_states`` reproduces this numpy's own seeding."""
+    """Whether ``_pcg64_states`` reproduces this numpy's seeding (checked once per process)."""
     seeds = (1, 2**64 - 1)
     return all(
-        _pcg64_state(state) == np.random.PCG64(seed).state
+        _fresh_pcg64_state(state) == np.random.PCG64(seed).state
         for seed, state in zip(seeds, _pcg64_states(seeds))
     )
 
 
-def _replicate_rngs(seeds: list[int]) -> Iterator[SeedLike]:
+def _replicate_rngs(seeds: Iterable[int]) -> Iterator[SeedLike]:
     """Per seed, a ``proposal_sampler`` seed that draws as ``default_rng(seed)``.
 
     All states are computed in one pass and loaded in turn into one
@@ -328,12 +332,12 @@ def _replicate_rngs(seeds: list[int]) -> Iterator[SeedLike]:
     are yielded instead.
     """
     if not _bulk_seeding_matches_numpy():
-        yield from seeds
+        yield from map(int, seeds)
         return
     bit_generator = np.random.PCG64(0)
     generator = np.random.Generator(bit_generator)
     for state in _pcg64_states(seeds):
-        bit_generator.state = _pcg64_state(state)
+        bit_generator.state = _fresh_pcg64_state(state)
         yield generator
 
 
@@ -464,8 +468,8 @@ def breakdown_probability(
     if replicates < 1:
         raise ValueError(f"replicates must be at least 1, got {replicates}")
     _check_trial(n, exact_divergence)
-    state = np.random.SeedSequence(int(seed)).generate_state(replicates, dtype=np.uint64)
-    rngs = _replicate_rngs(state.tolist())
+    trial_seeds = np.random.SeedSequence(int(seed)).generate_state(replicates, np.uint64)
+    rngs = _replicate_rngs(trial_seeds)
     rows = max(1, _BLOCK_PARTICLES // n)
     failures = 0
     mass_violations = 0

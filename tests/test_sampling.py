@@ -451,9 +451,7 @@ BULK_SEEDS = np.random.SeedSequence(2026).generate_state(10_000, dtype=np.uint64
 
 class TestBulkSeeding:
     def test_states_match_numpy_seeding(self):
-        states = _pcg64_states(BULK_SEEDS)
-        assert len(states) == len(BULK_SEEDS)
-        for seed, state in zip(BULK_SEEDS, states):
+        for seed, state in zip(BULK_SEEDS, _pcg64_states(BULK_SEEDS), strict=True):
             assert state == np.random.PCG64(seed).state["state"], seed
 
     def test_reused_generator_draws_as_default_rng(self):
