@@ -296,8 +296,8 @@ def _seed_sequence_words(seeds: Iterable[int]) -> list[np.ndarray]:
     return [words[2 * k] | words[2 * k + 1] << np.uint64(32) for k in range(4)]
 
 
-def _pcg64_states(seeds: Iterable[int]) -> Iterator[dict[str, int]]:
-    """``np.random.PCG64(seed).state["state"]`` of every uint64 seed, in turn.
+def _pcg64_states(seeds: Iterable[int]) -> Iterator[dict]:
+    """``np.random.PCG64(seed).state`` of every uint64 seed, in turn.
 
     The seed words of all seeds come from one vectorized pass; PCG64's
     ``srandom`` step runs in Python ints as each state is taken.
@@ -305,12 +305,12 @@ def _pcg64_states(seeds: Iterable[int]) -> Iterator[dict[str, int]]:
     for hi, lo, seq_hi, seq_lo in zip(*(w.tolist() for w in _seed_sequence_words(seeds))):
         inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK_128
         state = ((inc + (hi << 64 | lo)) * _PCG64_MULT + inc) & _MASK_128
-        yield {"state": state, "inc": inc}
-
-
-def _fresh_pcg64_state(state: dict[str, int]) -> dict:
-    """The full ``PCG64.state`` of a freshly seeded generator."""
-    return {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
+        yield {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
 
 
 @functools.cache
@@ -318,7 +318,7 @@ def _bulk_seeding_matches_numpy() -> bool:
     """Whether ``_pcg64_states`` reproduces this numpy's seeding (checked once per process)."""
     seeds = (1, 2**64 - 1)
     return all(
-        _fresh_pcg64_state(state) == np.random.PCG64(seed).state
+        state == np.random.PCG64(seed).state
         for seed, state in zip(seeds, _pcg64_states(seeds))
     )
 
@@ -337,7 +337,7 @@ def _replicate_rngs(seeds: Iterable[int]) -> Iterator[SeedLike]:
     bit_generator = np.random.PCG64(0)
     generator = np.random.Generator(bit_generator)
     for state in _pcg64_states(seeds):
-        bit_generator.state = _fresh_pcg64_state(state)
+        bit_generator.state = state
         yield generator
 
 

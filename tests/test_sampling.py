@@ -452,7 +452,7 @@ BULK_SEEDS = np.random.SeedSequence(2026).generate_state(10_000, dtype=np.uint64
 class TestBulkSeeding:
     def test_states_match_numpy_seeding(self):
         for seed, state in zip(BULK_SEEDS, _pcg64_states(BULK_SEEDS), strict=True):
-            assert state == np.random.PCG64(seed).state["state"], seed
+            assert state == np.random.PCG64(seed).state, seed
 
     def test_reused_generator_draws_as_default_rng(self):
         seeds = BULK_SEEDS[:2000] + BULK_SEEDS[-5:]
