@@ -31,6 +31,7 @@ from .bounds import (
 from .divergences import BUILTIN_GENERATORS, DivergenceKind, DivergenceValue
 from .gaussian import (
     Gaussian1D,
+    GaussianPair,
     QuadratureError,
     gaussian_chi_squared,
     gaussian_kl,
@@ -107,24 +108,22 @@ def _cell_seed(seed: int, row: int, column: int) -> int:
 
 
 def _compute_divergence(
-    target: Gaussian1D,
-    proposal: Gaussian1D,
-    model,
+    pair: GaussianPair,
     kind: DivergenceKind,
     method: str,
     mc_samples: int,
     seed: int,
 ) -> DivergenceValue:
     if method == "closed":
-        return _CLOSED_FORMS[kind](target, proposal)
+        return _CLOSED_FORMS[kind](pair.target, pair.proposal)
     if method == "quadrature":
-        return quadrature_divergence(model, BUILTIN_GENERATORS[kind])
+        return quadrature_divergence(pair, BUILTIN_GENERATORS[kind])
     if method == "mc":
         # a provably infinite divergence is not estimated, it is reported
-        exact = _CLOSED_FORMS[kind](target, proposal)
+        exact = _CLOSED_FORMS[kind](pair.target, pair.proposal)
         if math.isinf(exact.value):
             return exact
-        return monte_carlo_divergence(model, BUILTIN_GENERATORS[kind], mc_samples, seed)
+        return monte_carlo_divergence(pair, BUILTIN_GENERATORS[kind], mc_samples, seed)
     raise ConfigError(f"unknown divergence method {method!r}")
 
 
@@ -182,10 +181,10 @@ def _run_pairs(
     metrics = _resolve_metrics(metric)
     records = []
     for row, (label, target, proposal) in enumerate(pairs):
-        model = None if method == "closed" else make_gaussian_model(target, proposal)
+        pair = make_gaussian_model(target, proposal)
         for column, kind in enumerate(metrics):
             cell_seed = _cell_seed(seed, row, column) if method == "mc" else seed
-            d = _compute_divergence(target, proposal, model, kind, method, mc_samples, cell_seed)
+            d = _compute_divergence(pair, kind, method, mc_samples, cell_seed)
             report = necessary_sample_size(
                 DivergenceValue(_threshold_input(d, kind), d.method, d.std_error, d.sample_count),
                 kind,
@@ -298,9 +297,9 @@ def run_breakdown(
             "no finite sample size satisfies the bound and the experiment is undefined"
         )
     report = necessary_sample_size(exact, kind, budget)
-    model = make_gaussian_model(target, proposal)
+    pair = make_gaussian_model(target, proposal)
     outcome = breakdown_probability(
-        model, BUILTIN_GENERATORS[kind], exact.value, n_particles, budget, replicates, seed
+        pair, BUILTIN_GENERATORS[kind], exact.value, n_particles, budget, replicates, seed
     )
     return {
         "metric": kind.value,
@@ -327,8 +326,8 @@ def run_ess(
     seed: int = 0,
 ) -> dict:
     """Sample one particle set and report both effective-sample-size diagnostics."""
-    model = make_gaussian_model(target, proposal)
-    measure = sample_particles(model, n_particles, seed)
+    pair = make_gaussian_model(target, proposal)
+    measure = sample_particles(pair, n_particles, seed)
     w_hat = normalized_weights(measure)
     return {
         "n_particles": n_particles,

@@ -255,10 +255,6 @@ class DivergenceValue:
         return float(self.value)
 
 
-def _scalar(d) -> float:
-    return float(d)
-
-
 def discrete_divergence(p: VectorLike, q: VectorLike, f: ConvexGenerator) -> float:
     """Sum of q_i * f(p_i / q_i).
 
@@ -300,7 +296,7 @@ def check_divergence_inequalities(
     is the squared Hellinger distance.  An infinite chi-squared makes every
     bound vacuously true.
     """
-    kl, chi2, tv, hell2 = (_scalar(d) for d in (d_kl, d_chi2, d_tv, d_hell2))
+    kl, chi2, tv, hell2 = (float(d) for d in (d_kl, d_chi2, d_tv, d_hell2))
     for name, value in (("kl", kl), ("chi2", chi2), ("tv", tv), ("hell2", hell2)):
         if math.isnan(value) or value < 0:
             raise ValueError(f"divergence {name} must be nonnegative, got {value!r}")

@@ -24,7 +24,7 @@ from .divergences import ConvexGenerator, DivergenceKind, DivergenceValue
 
 __all__ = [
     "Gaussian1D",
-    "DensityRatioModel",
+    "GaussianPair",
     "QuadratureSpec",
     "QuadratureError",
     "WeightOverflowWarning",
@@ -90,48 +90,55 @@ class Gaussian1D:
 
 
 @dataclass(frozen=True)
-class DensityRatioModel:
-    """A target/proposal pair exposing log-densities and log density ratio.
+class GaussianPair:
+    """A Gaussian target p and proposal q, and their density ratio g = dp/dq.
 
-    ``proposal_sampler(n, seed)`` must return ``n`` i.i.d. proposal draws and
-    be deterministic for a given seed.  The seed may be an int, a
-    ``SeedSequence`` or an already-seeded ``np.random.Generator``; samplers
-    pass it to ``np.random.default_rng``, which returns a Generator as is.
-    ``target`` and ``proposal`` carry the Gaussian parameters used to size
-    quadrature windows.
+    Built by ``make_gaussian_model``.  ``ratios`` applies the one overflow
+    policy that every estimator shares: a log ratio above 700 gives g = +inf.
+    ``proposal_sampler(n, seed)`` passes its seed to ``np.random.default_rng``,
+    so the seed may be an int, a ``SeedSequence`` or an already-seeded
+    ``np.random.Generator``, which is used as is.
     """
 
-    target_log_density: Callable[[np.ndarray], np.ndarray]
-    proposal_log_density: Callable[[np.ndarray], np.ndarray]
-    log_ratio: Callable[[np.ndarray], np.ndarray]
-    proposal_sampler: Callable[[int, SeedLike], np.ndarray]
-    target: Gaussian1D | None = None
-    proposal: Gaussian1D | None = None
+    target: Gaussian1D
+    proposal: Gaussian1D
 
-
-def make_gaussian_model(target: Gaussian1D, proposal: Gaussian1D) -> DensityRatioModel:
-    """Build the exact density-ratio model for a Gaussian pair."""
-    mp, vp = target.mean, target.variance
-    mq, vq = proposal.mean, proposal.variance
-    const = 0.5 * math.log(vq / vp)
-    sq = math.sqrt(vq)
-
-    def log_ratio(x):
+    def log_ratio(self, x):
+        """log g(x) = log p(x) - log q(x), elementwise."""
         x = np.asarray(x, dtype=float)
-        return const - (x - mp) ** 2 / (2.0 * vp) + (x - mq) ** 2 / (2.0 * vq)
+        mp, vp = self.target.mean, self.target.variance
+        mq, vq = self.proposal.mean, self.proposal.variance
+        return 0.5 * math.log(vq / vp) - (x - mp) ** 2 / (2.0 * vp) + (x - mq) ** 2 / (2.0 * vq)
 
-    def sampler(n: int, seed: SeedLike) -> np.ndarray:
-        rng = np.random.default_rng(seed)
-        return rng.normal(mq, sq, int(n))
+    def proposal_sampler(self, n: int, seed: SeedLike) -> np.ndarray:
+        q = self.proposal
+        return np.random.default_rng(seed).normal(q.mean, math.sqrt(q.variance), int(n))
 
-    return DensityRatioModel(
-        target_log_density=target.log_pdf,
-        proposal_log_density=proposal.log_pdf,
-        log_ratio=log_ratio,
-        proposal_sampler=sampler,
-        target=target,
-        proposal=proposal,
-    )
+    def ratios(self, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Log ratios and ratios g of draws of any shape; log g > 700 gives g = +inf.
+
+        ``log_ratio`` sees the draws flattened to one dimension.
+        """
+        log_ratio = np.reshape(self.log_ratio(draws.ravel()), draws.shape)
+        with np.errstate(over="ignore"):
+            ratios = np.exp(log_ratio)
+        ratios[log_ratio > _EXP_OVERFLOW] = np.inf
+        return log_ratio, ratios
+
+
+def make_gaussian_model(target: Gaussian1D, proposal: Gaussian1D) -> GaussianPair:
+    """Build the exact density-ratio model for a Gaussian pair."""
+    return GaussianPair(target, proposal)
+
+
+def _generator_values(f: ConvexGenerator, ratios: np.ndarray) -> np.ndarray:
+    """f at each ratio, and +inf where the ratio overflowed."""
+    overflowed = np.isinf(ratios)
+    if not overflowed.any():
+        return f(ratios)
+    values = np.full_like(ratios, np.inf)
+    values[~overflowed] = f(ratios[~overflowed])
+    return values
 
 
 def density_crossings(target: Gaussian1D, proposal: Gaussian1D) -> tuple[float, ...]:
@@ -373,10 +380,8 @@ def _integrand_bumps(target: Gaussian1D, proposal: Gaussian1D) -> list[tuple[flo
     return bumps
 
 
-def _window_breakpoints(model: DensityRatioModel, spec: QuadratureSpec) -> np.ndarray:
-    target, proposal = model.target, model.proposal
-    if target is None or proposal is None:
-        raise ValueError("quadrature requires a model with Gaussian metadata")
+def _window_breakpoints(pair: GaussianPair, spec: QuadratureSpec) -> np.ndarray:
+    target, proposal = pair.target, pair.proposal
     bumps = _integrand_bumps(target, proposal)
     window = spec.integration_window
     lo = min(center - window * scale for center, scale in bumps)
@@ -391,11 +396,11 @@ def _window_breakpoints(model: DensityRatioModel, spec: QuadratureSpec) -> np.nd
 
 
 def _stable_integrand(
-    model: DensityRatioModel, f: ConvexGenerator
+    pair: GaussianPair, f: ConvexGenerator
 ) -> Callable[[np.ndarray], np.ndarray]:
-    lt = model.target_log_density
-    lq = model.proposal_log_density
-    lr = model.log_ratio
+    lt = pair.target.log_pdf
+    lq = pair.proposal.log_pdf
+    lr = pair.log_ratio
     kind = f.kind
 
     if kind is DivergenceKind.KULLBACK_LEIBLER:
@@ -418,21 +423,17 @@ def _stable_integrand(
             return np.exp(lt(x)) - 2.0 * np.exp(0.5 * lr(x) + lq(x)) + np.exp(lq(x))
 
     else:
-        # custom generators evaluate f(g) q directly; an overflowing ratio is
-        # reported as a diagnosed-infinite integrand value
+        # custom generators evaluate f(g) q directly; an overflowed ratio is a
+        # diagnosed-infinite integrand value, also where q underflows to 0
         def integrand(x):
-            logr = lr(x)
-            out = np.full_like(logr, np.inf)
-            ok = logr <= _EXP_OVERFLOW
-            if ok.any():
-                out[ok] = f(np.exp(logr[ok])) * np.exp(lq(x)[ok])
-            return out
+            values = _generator_values(f, pair.ratios(x)[1])
+            return np.multiply(values, np.exp(lq(x)), out=values, where=np.isfinite(values))
 
     return integrand
 
 
 def quadrature_divergence(
-    model: DensityRatioModel,
+    pair: GaussianPair,
     f: ConvexGenerator,
     spec: QuadratureSpec | None = None,
 ) -> DivergenceValue:
@@ -444,8 +445,8 @@ def quadrature_divergence(
     adaptive scheme fails its tolerance.
     """
     spec = spec or QuadratureSpec()
-    points = _window_breakpoints(model, spec)
-    total = adaptive_integral(_stable_integrand(model, f), points, spec)
+    points = _window_breakpoints(pair, spec)
+    total = adaptive_integral(_stable_integrand(pair, f), points, spec)
     if math.isinf(total):
         return DivergenceValue(math.inf, "quadrature")
     if total < -1e-8:
@@ -457,7 +458,7 @@ _MC_CHUNK = 1_000_000
 
 
 def monte_carlo_divergence(
-    model: DensityRatioModel,
+    pair: GaussianPair,
     f: ConvexGenerator,
     sample_count: int,
     seed: int,
@@ -480,15 +481,9 @@ def monte_carlo_divergence(
     while drawn < sample_count:
         n = min(_MC_CHUNK, sample_count - drawn)
         seq = np.random.SeedSequence(entropy=int(seed), spawn_key=(chunk_index,))
-        draws = model.proposal_sampler(n, seq)
-        log_ratio = model.log_ratio(draws)
-        values = np.empty_like(log_ratio)
-        big = log_ratio > _EXP_OVERFLOW
-        if big.any():
-            overflowed += int(big.sum())
-            values[big] = np.inf
-        small = ~big
-        values[small] = f(np.exp(log_ratio[small]))
+        ratios = pair.ratios(pair.proposal_sampler(n, seq))[1]
+        overflowed += int(np.count_nonzero(np.isinf(ratios)))
+        values = _generator_values(f, ratios)
         total += float(values.sum())
         total_sq += float((values * values).sum())
         drawn += n

@@ -27,11 +27,11 @@ import numpy as np
 from .bounds import ToleranceBudget
 from .divergences import ConvexGenerator, ProbabilityVector
 from .gaussian import (
-    _EXP_OVERFLOW,
-    DensityRatioModel,
+    GaussianPair,
     QuadratureSpec,
     SeedLike,
     WeightOverflowWarning,
+    _generator_values,
     _window_breakpoints,
     adaptive_integral,
 )
@@ -102,22 +102,7 @@ class WeightedEmpiricalMeasure:
         return float(self.weights.sum())
 
 
-def _draws_to_ratios(
-    model: DensityRatioModel, draws: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Log ratios and ratios g(v) of proposal draws of any shape.
-
-    ``model.log_ratio`` sees the draws flattened to one dimension.  A log
-    ratio above the overflow limit gives an infinite ratio.
-    """
-    log_ratio = np.reshape(model.log_ratio(draws.ravel()), draws.shape)
-    with np.errstate(over="ignore"):
-        ratios = np.exp(log_ratio)
-    ratios[log_ratio > _EXP_OVERFLOW] = np.inf
-    return log_ratio, ratios
-
-
-def sample_particles(model: DensityRatioModel, n: int, seed: int) -> WeightedEmpiricalMeasure:
+def sample_particles(pair: GaussianPair, n: int, seed: int) -> WeightedEmpiricalMeasure:
     """Draw n proposal particles and weight them by g(v)/N.
 
     Deterministic for a given seed.  A density ratio that overflows the
@@ -126,8 +111,8 @@ def sample_particles(model: DensityRatioModel, n: int, seed: int) -> WeightedEmp
     """
     if n < 1:
         raise ValueError(f"particle count must be at least 1, got {n}")
-    draws = np.asarray(model.proposal_sampler(n, seed))
-    log_ratio, ratios = _draws_to_ratios(model, draws)
+    draws = np.asarray(pair.proposal_sampler(n, seed))
+    log_ratio, ratios = pair.ratios(draws)
     bad = ~np.isfinite(ratios)
     if bad.any():
         index = int(np.argmax(bad))
@@ -154,7 +139,7 @@ def estimate(measure: WeightedEmpiricalMeasure, phi: Observable) -> float:
 
 
 def exact_mse(
-    model: DensityRatioModel,
+    pair: GaussianPair,
     phi: Observable,
     n: int,
     spec: QuadratureSpec | None = None,
@@ -167,10 +152,10 @@ def exact_mse(
     if n < 1:
         raise ValueError(f"sample size must be at least 1, got {n}")
     spec = spec or QuadratureSpec()
-    lt = model.target_log_density
-    lr = model.log_ratio
-    lq = model.proposal_log_density
-    points = _window_breakpoints(model, spec)
+    lt = pair.target.log_pdf
+    lr = pair.log_ratio
+    lq = pair.proposal.log_pdf
+    points = _window_breakpoints(pair, spec)
 
     def first_moment(x):
         return np.exp(lt(x)) * np.asarray(phi.fn(x), dtype=float)
@@ -341,9 +326,9 @@ def _replicate_rngs(seeds: Iterable[int]) -> Iterator[SeedLike]:
         yield generator
 
 
-def _block_draws(model: DensityRatioModel, n: int, rngs: Iterable[SeedLike]) -> np.ndarray:
+def _block_draws(pair: GaussianPair, n: int, rngs: Iterable[SeedLike]) -> np.ndarray:
     """A (replicates, n) array whose row i is ``proposal_sampler(n, rng_i)``."""
-    samples = [model.proposal_sampler(n, rng) for rng in rngs]
+    samples = [pair.proposal_sampler(n, rng) for rng in rngs]
     if len(samples) == 1:
         # a large replicate is used as drawn, without a copy
         return np.asarray(samples[0])[np.newaxis]
@@ -351,7 +336,7 @@ def _block_draws(model: DensityRatioModel, n: int, rngs: Iterable[SeedLike]) -> 
 
 
 def _trial_block(
-    model: DensityRatioModel,
+    pair: GaussianPair,
     f: ConvexGenerator,
     exact_divergence: float,
     n: int,
@@ -365,13 +350,10 @@ def _trial_block(
     mass, divergence estimate, mass_ok, estimate_ok and overflowed.
     """
     # the draws and log ratios are freed before f allocates its temporaries
-    ratios = _draws_to_ratios(model, _block_draws(model, n, rngs))[1]
-    overflowed = ~np.isfinite(ratios).all(axis=1)
+    ratios = pair.ratios(_block_draws(pair, n, rngs))[1]
+    overflowed = np.isinf(ratios).any(axis=1)
     mass = ratios.mean(axis=1)
-    # overflowed rows get a valid placeholder argument; their estimate is +inf
-    ratios[overflowed] = 1.0
-    divergence_estimate = f(ratios).mean(axis=1)
-    divergence_estimate[overflowed] = np.inf
+    divergence_estimate = _generator_values(f, ratios).mean(axis=1)
     mass_ok = (mass - 1.0) <= budget.epsilon
     estimate_ok = np.isfinite(divergence_estimate) & (
         np.abs(exact_divergence - divergence_estimate) <= budget.delta
@@ -380,7 +362,7 @@ def _trial_block(
 
 
 def breakdown_trial(
-    model: DensityRatioModel,
+    pair: GaussianPair,
     f: ConvexGenerator,
     exact_divergence: float,
     n: int,
@@ -390,7 +372,7 @@ def breakdown_trial(
     """Run one importance-sampling trial and test both accuracy conditions."""
     _check_trial(n, exact_divergence)
     mass, divergence_estimate, mass_ok, estimate_ok, overflowed = _trial_block(
-        model, f, exact_divergence, n, budget, _replicate_rngs([seed])
+        pair, f, exact_divergence, n, budget, [seed]
     )
     return TrialOutcome(
         bool(mass_ok[0]),
@@ -448,7 +430,7 @@ _BLOCK_PARTICLES = 4096
 
 
 def breakdown_probability(
-    model: DensityRatioModel,
+    pair: GaussianPair,
     f: ConvexGenerator,
     exact_divergence: float,
     n: int,
@@ -460,7 +442,7 @@ def breakdown_probability(
 
     Replicate ``i`` runs with the integer seed drawn from
     ``SeedSequence(seed)``, so the report is a deterministic function of
-    (model, f, n, budget, replicates, seed) and independent of scheduling.
+    (pair, f, n, budget, replicates, seed) and independent of scheduling.
     Replicates are evaluated in blocks of about 4096 particles; each still
     draws what ``default_rng`` of its own seed draws, so the counts do not
     depend on the block size.
@@ -476,7 +458,7 @@ def breakdown_probability(
     estimate_violations = 0
     for _ in range(0, replicates, rows):
         _, _, mass_ok, estimate_ok, _ = _trial_block(
-            model, f, exact_divergence, n, budget, itertools.islice(rngs, rows)
+            pair, f, exact_divergence, n, budget, itertools.islice(rngs, rows)
         )
         failures += int(np.count_nonzero(~(mass_ok & estimate_ok)))
         mass_violations += int(np.count_nonzero(~mass_ok))

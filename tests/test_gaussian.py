@@ -37,6 +37,7 @@ from isbound import (
     quadrature_divergence,
     ratio_moment_is_finite,
 )
+from isbound.gaussian import _stable_integrand
 
 STD_NORMAL = Gaussian1D(0.0, 1.0)
 
@@ -97,7 +98,7 @@ class TestDensityRatioModel:
     def test_log_ratio_is_difference_of_log_densities(self):
         model = make_gaussian_model(Gaussian1D(1.0, 0.25), Gaussian1D(-0.5, 3.0))
         xs = np.linspace(-8, 8, 201)
-        diff = model.target_log_density(xs) - model.proposal_log_density(xs)
+        diff = model.target.log_pdf(xs) - model.proposal.log_pdf(xs)
         np.testing.assert_allclose(model.log_ratio(xs), diff, atol=1e-12)
 
     def test_sampler_is_deterministic(self):
@@ -263,7 +264,7 @@ class TestQuadrature:
 
         def integrand(x):
             x = np.atleast_1d(np.asarray(x, dtype=float))
-            return np.exp(model.target_log_density(x)) * model.log_ratio(x)
+            return np.exp(model.target.log_pdf(x)) * model.log_ratio(x)
 
         mine = adaptive_integral(integrand, np.linspace(-40, 42, 9))
         ref, _ = integrate.quad(lambda x: float(integrand(x)[0]), -40, 42, limit=200)
@@ -277,17 +278,14 @@ class TestQuadrature:
         expected = moments[4] - 4 * moments[3] + 6 * moments[2] - 4 * moments[1] + 1
         assert quadrature_divergence(model, gen).value == pytest.approx(expected, rel=1e-10)
 
-    def test_requires_gaussian_metadata(self):
-        from isbound import DensityRatioModel
-
-        bare = DensityRatioModel(
-            target_log_density=lambda x: x,
-            proposal_log_density=lambda x: x,
-            log_ratio=lambda x: np.zeros_like(x),
-            proposal_sampler=lambda n, seed: np.zeros(n),
-        )
-        with pytest.raises(ValueError, match="metadata"):
-            quadrature_divergence(bare, KULLBACK_LEIBLER)
+    @pytest.mark.filterwarnings("error")
+    def test_custom_generator_overflow_is_infinite(self):
+        gen = custom_generator(lambda x: (x - 1.0) ** 4, value_at_zero=1.0)
+        model = make_gaussian_model(Gaussian1D(0.0, 16.0), STD_NORMAL)
+        assert quadrature_divergence(model, gen).value == math.inf
+        # at x = 50 the log ratio is 1170 and q underflows to 0: +inf, not NaN
+        values = _stable_integrand(model, gen)(np.array([0.0, 50.0]))
+        assert math.isfinite(values[0]) and values[1] == math.inf
 
 
 @given(

@@ -1,6 +1,7 @@
 """Tests for particle weighting, estimation, ESS diagnostics and breakdown."""
 
 import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +15,8 @@ from isbound import (
     KULLBACK_LEIBLER,
     TOTAL_VARIATION,
     BreakdownReport,
-    DensityRatioModel,
     Gaussian1D,
+    GaussianPair,
     Observable,
     ProbabilityVector,
     ToleranceBudget,
@@ -23,6 +24,7 @@ from isbound import (
     WeightOverflowWarning,
     breakdown_probability,
     breakdown_trial,
+    custom_generator,
     ess_chi2,
     ess_kl,
     estimate,
@@ -32,7 +34,9 @@ from isbound import (
     gaussian_squared_hellinger,
     gaussian_total_variation,
     make_gaussian_model,
+    monte_carlo_divergence,
     normalized_weights,
+    quadrature_divergence,
     sample_particles,
 )
 from isbound import sampling
@@ -47,14 +51,19 @@ def shifted_model(mean: float, variance: float = 1.0):
     return make_gaussian_model(Gaussian1D(mean, variance), STD_NORMAL)
 
 
+@dataclass(frozen=True)
+class ConstantRatioPair(GaussianPair):
+    """Draws from N(0, 1), with a density ratio of exp(level) at every draw."""
+
+    level: float = 720.0
+
+    def log_ratio(self, x):
+        return np.full_like(np.asarray(x, dtype=float), self.level)
+
+
 def overflowing_model(log_ratio: float = 720.0):
     """A synthetic model whose density ratio is always exp(log_ratio)."""
-    return DensityRatioModel(
-        target_log_density=lambda x: np.zeros_like(x),
-        proposal_log_density=lambda x: np.zeros_like(x),
-        log_ratio=lambda x: np.full_like(np.asarray(x, dtype=float), log_ratio),
-        proposal_sampler=lambda n, seed: np.random.default_rng(seed).normal(0, 1, int(n)),
-    )
+    return ConstantRatioPair(STD_NORMAL, STD_NORMAL, log_ratio)
 
 
 class TestWeightedEmpiricalMeasure:
@@ -357,23 +366,17 @@ def report_counts(report):
     return (report.failure_count, report.mass_violations, report.estimate_violations)
 
 
-def one_dimensional_model():
-    """Callables that accept only 1-D input; ratios overflow for draws above 2."""
+class OneDimensionalPair(GaussianPair):
+    """Draws from N(0, 1); ``log_ratio`` takes only 1-D input and overflows above 2."""
 
-    def log_ratio(x):
+    def log_ratio(self, x):
         if np.ndim(x) != 1:
             raise ValueError("log_ratio takes one-dimensional input only")
         return np.where(x > 2.0, 720.0, 0.5 * x - 0.125)
 
-    def sampler(n, seed):
-        return np.random.default_rng(seed).normal(0.0, 1.0, int(n))
 
-    return DensityRatioModel(
-        target_log_density=lambda x: np.zeros_like(x),
-        proposal_log_density=lambda x: np.zeros_like(x),
-        log_ratio=log_ratio,
-        proposal_sampler=sampler,
-    )
+def one_dimensional_model():
+    return OneDimensionalPair(STD_NORMAL, STD_NORMAL)
 
 
 CLOSED_FORMS = {
@@ -409,12 +412,17 @@ class TestBlockedBreakdown:
     @pytest.mark.parametrize("n", [1, 25, _BLOCK_PARTICLES + 1])
     def test_trial_matches_direct_computation(self, n):
         model = shifted_model(2.0)
-        for seed in range(5):
+        # seeds past uint64 are valid for default_rng and so for a trial
+        for seed in [*range(5), 2**64, 2**70]:
             ratios = np.exp(model.log_ratio(model.proposal_sampler(n, seed)))
             outcome = breakdown_trial(model, KULLBACK_LEIBLER, 2.0, n, BUDGET, seed)
             assert outcome.mass == np.mean(ratios)
             assert outcome.divergence_estimate == np.mean(KULLBACK_LEIBLER(ratios))
             assert not outcome.overflowed
+
+    def test_negative_trial_seed_is_a_value_error(self):
+        with pytest.raises(ValueError):
+            breakdown_trial(shifted_model(2.0), KULLBACK_LEIBLER, 2.0, 25, BUDGET, seed=-1)
 
     def test_overflowed_trial_has_infinite_estimate(self):
         outcome = breakdown_trial(overflowing_model(), CHI_SQUARED, 1.0, 4, BUDGET, seed=3)
@@ -441,6 +449,71 @@ class TestBlockedBreakdown:
             breakdown_probability(shifted_model(1.0), KULLBACK_LEIBLER, 0.5, 0, BUDGET, 5, 0)
         with pytest.raises(ValueError, match="finite"):
             breakdown_probability(shifted_model(1.0), CHI_SQUARED, math.inf, 5, BUDGET, 5, 0)
+
+
+class TestOverflowPolicy:
+    """A log ratio above 700 is an infinite ratio, though exp stays finite up to 709.78."""
+
+    def test_ratios_cut_at_700(self):
+        draws = np.zeros((2, 3))
+        for level, expected in [(700.0, math.exp(700.0)), (705.0, math.inf),
+                                (720.0, math.inf), (-800.0, 0.0)]:
+            log_ratio, ratios = overflowing_model(level).ratios(draws)
+            assert np.all(log_ratio == level)
+            assert ratios.shape == draws.shape
+            assert np.all(ratios == expected), level
+
+    @pytest.mark.parametrize("level", [705.0, 720.0])
+    def test_monte_carlo_estimate_is_infinite(self, level):
+        # TV of exp(705) is finite, so only the overflow cut makes this +inf
+        with pytest.warns(WeightOverflowWarning):
+            d = monte_carlo_divergence(overflowing_model(level), TOTAL_VARIATION, 10, seed=1)
+        assert d.value == math.inf
+        assert d.std_error == math.inf
+
+
+def counted_pair():
+    """A Gaussian pair whose ``log_ratio`` and ``proposal_sampler`` count their calls.
+
+    The methods are replaced on the instance, as a profiler wraps them.
+    """
+    pair = make_gaussian_model(Gaussian1D(1.0, 1.0), STD_NORMAL)
+    calls = dict.fromkeys(("log_ratio", "proposal_sampler"), 0)
+    for name in calls:
+
+        def counted(*args, _name=name, _method=getattr(pair, name)):
+            calls[_name] += 1
+            return _method(*args)
+
+        object.__setattr__(pair, name, counted)
+    return pair, calls
+
+
+QUARTIC = custom_generator(lambda x: (x - 1.0) ** 4, value_at_zero=1.0)
+
+
+# each estimator and the number of proposal draws it makes
+@pytest.mark.parametrize("call, sampler_calls", [
+    pytest.param(lambda p: sample_particles(p, 10, seed=1), 1, id="sample_particles"),
+    pytest.param(
+        lambda p: breakdown_probability(p, KULLBACK_LEIBLER, 0.5, 5, BUDGET, 3, seed=1), 3,
+        id="breakdown_probability",
+    ),
+    pytest.param(
+        lambda p: breakdown_trial(p, KULLBACK_LEIBLER, 0.5, 5, BUDGET, 1), 1, id="breakdown_trial"
+    ),
+    pytest.param(
+        lambda p: monte_carlo_divergence(p, KULLBACK_LEIBLER, 10, seed=1), 1, id="monte_carlo"
+    ),
+    pytest.param(lambda p: quadrature_divergence(p, KULLBACK_LEIBLER), 0, id="quadrature"),
+    pytest.param(lambda p: quadrature_divergence(p, QUARTIC), 0, id="quadrature_custom"),
+    pytest.param(lambda p: exact_mse(p, Observable.one(), 1), 0, id="exact_mse"),
+])
+def test_estimators_use_the_instance_methods(call, sampler_calls):
+    pair, calls = counted_pair()
+    call(pair)
+    assert calls["log_ratio"] >= 1
+    assert calls["proposal_sampler"] == sampler_calls
 
 
 # uint64 replicate seeds as breakdown runs derive them, plus the word edges
