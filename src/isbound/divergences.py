@@ -58,8 +58,13 @@ class ConvexGenerator:
     """A convex function f with f(1) = 0 defining an f-divergence.
 
     ``fn`` must accept nonnegative floats or arrays of them and is only ever
-    called on strictly positive arguments; ``value_at_zero`` supplies the
-    limit of f at 0+ and is used wherever a ratio is exactly zero.
+    called on strictly positive finite arguments; ``value_at_zero`` supplies
+    the limit of f at 0+ and is used wherever a ratio is exactly zero.
+    Calling the generator validates its argument.  The estimators inside the
+    package call ``fn`` directly on density ratios that are valid by
+    construction, under the same contract: ``fn`` sees only the strictly
+    positive finite ratios, a zero ratio gets ``value_at_zero`` and an
+    overflowed one +inf.
     """
 
     kind: DivergenceKind
@@ -86,20 +91,30 @@ class ConvexGenerator:
         return out
 
 
+# each built-in generator allocates one array and works on it in place
 def _kl_fn(x):
-    return x * np.log(x)
+    out = np.log(x)
+    out *= x
+    return out
 
 
 def _chi2_fn(x):
-    return (x - 1.0) ** 2
+    out = x - 1.0
+    out **= 2
+    return out
 
 
 def _tv_fn(x):
-    return np.abs(x - 1.0) / 2.0
+    out = np.abs(x - 1.0)
+    out /= 2.0
+    return out
 
 
 def _hellinger2_fn(x):
-    return (np.sqrt(x) - 1.0) ** 2
+    out = np.sqrt(x)
+    out -= 1.0
+    out **= 2
+    return out
 
 
 KULLBACK_LEIBLER = ConvexGenerator(DivergenceKind.KULLBACK_LEIBLER, _kl_fn, 0.0)

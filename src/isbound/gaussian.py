@@ -44,6 +44,9 @@ _LOG_2PI = math.log(2.0 * math.pi)
 
 # exp() overflows just above 709; ratios beyond this are treated as +inf
 _EXP_OVERFLOW = 700.0
+# exp() is exactly 0 below -745.14, where np.exp takes a slow underflow path;
+# log ratios below this cut are given the ratio 0 without calling it
+_EXP_UNDERFLOW = -750.0
 
 # a proposal sampler's seed; samplers pass it to np.random.default_rng, which
 # returns an already-seeded Generator unchanged
@@ -104,11 +107,25 @@ class GaussianPair:
     proposal: Gaussian1D
 
     def log_ratio(self, x):
-        """log g(x) = log p(x) - log q(x), elementwise."""
+        """log g(x) = log p(x) - log q(x), elementwise.
+
+        Bit for bit 0.5 log(vq / vp) - (x - mp)^2 / (2 vp) + (x - mq)^2 / (2 vq),
+        evaluated in place in two buffers: dividing by -2 vp negates the
+        quotient exactly, and adding the constant to that is exactly the
+        subtraction.
+        """
         x = np.asarray(x, dtype=float)
         mp, vp = self.target.mean, self.target.variance
         mq, vq = self.proposal.mean, self.proposal.variance
-        return 0.5 * math.log(vq / vp) - (x - mp) ** 2 / (2.0 * vp) + (x - mq) ** 2 / (2.0 * vq)
+        log_ratio = x - mp
+        log_ratio **= 2
+        log_ratio /= -2.0 * vp
+        log_ratio += 0.5 * math.log(vq / vp)
+        shift = x - mq
+        shift **= 2
+        shift /= 2.0 * vq
+        log_ratio += shift
+        return log_ratio
 
     def proposal_sampler(self, n: int, seed: SeedLike) -> np.ndarray:
         q = self.proposal
@@ -120,9 +137,16 @@ class GaussianPair:
         ``log_ratio`` sees the draws flattened to one dimension.
         """
         log_ratio = np.reshape(self.log_ratio(draws.ravel()), draws.shape)
-        with np.errstate(over="ignore"):
-            ratios = np.exp(log_ratio)
-        ratios[log_ratio > _EXP_OVERFLOW] = np.inf
+        if log_ratio.min(initial=math.inf) >= _EXP_UNDERFLOW:
+            with np.errstate(over="ignore"):
+                ratios = np.exp(log_ratio)
+        else:
+            ratios = np.zeros_like(log_ratio)
+            kept = np.flatnonzero(~(log_ratio < _EXP_UNDERFLOW))  # NaN is kept
+            with np.errstate(over="ignore"):
+                np.put(ratios, kept, np.exp(log_ratio.take(kept)))
+        if not log_ratio.max(initial=-math.inf) <= _EXP_OVERFLOW:
+            ratios[log_ratio > _EXP_OVERFLOW] = np.inf
         return log_ratio, ratios
 
 
@@ -132,12 +156,22 @@ def make_gaussian_model(target: Gaussian1D, proposal: Gaussian1D) -> GaussianPai
 
 
 def _generator_values(f: ConvexGenerator, ratios: np.ndarray) -> np.ndarray:
-    """f at each ratio, and +inf where the ratio overflowed."""
-    overflowed = np.isinf(ratios)
-    if not overflowed.any():
-        return f(ratios)
-    values = np.full_like(ratios, np.inf)
-    values[~overflowed] = f(ratios[~overflowed])
+    """f at each ratio: ``value_at_zero`` at 0 and +inf where the ratio overflowed.
+
+    Ratios from ``GaussianPair.ratios`` are nonnegative by construction, so
+    ``f.fn`` is called directly, on the whole array when every ratio is
+    strictly positive and finite and otherwise on those that are.  A NaN
+    ratio raises ValueError, as ``ConvexGenerator.__call__`` does.
+    """
+    lo, hi = ratios.min(initial=math.inf), ratios.max(initial=0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if lo > 0.0 and hi < math.inf:
+            return np.asarray(f.fn(ratios), dtype=float)
+        if math.isnan(lo):
+            raise ValueError("density ratio is NaN")
+        values = np.where(ratios == 0.0, f.value_at_zero, math.inf)
+        valid = np.flatnonzero((ratios > 0.0) & (ratios < math.inf))
+        np.put(values, valid, f.fn(ratios.take(valid)))
     return values
 
 
@@ -482,10 +516,11 @@ def monte_carlo_divergence(
         n = min(_MC_CHUNK, sample_count - drawn)
         seq = np.random.SeedSequence(entropy=int(seed), spawn_key=(chunk_index,))
         ratios = pair.ratios(pair.proposal_sampler(n, seq))[1]
-        overflowed += int(np.count_nonzero(np.isinf(ratios)))
+        if not ratios.max() < math.inf:
+            overflowed += int(np.count_nonzero(np.isinf(ratios)))
         values = _generator_values(f, ratios)
         total += float(values.sum())
-        total_sq += float((values * values).sum())
+        total_sq += float(np.square(values, out=values).sum())
         drawn += n
         chunk_index += 1
     if overflowed:

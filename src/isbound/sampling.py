@@ -113,8 +113,8 @@ def sample_particles(pair: GaussianPair, n: int, seed: int) -> WeightedEmpirical
         raise ValueError(f"particle count must be at least 1, got {n}")
     draws = np.asarray(pair.proposal_sampler(n, seed))
     log_ratio, ratios = pair.ratios(draws)
-    bad = ~np.isfinite(ratios)
-    if bad.any():
+    if not ratios.max() < math.inf:
+        bad = ~np.isfinite(ratios)
         index = int(np.argmax(bad))
         warnings.warn(
             f"{int(bad.sum())} weight(s) overflowed; first at particle index {index} "
@@ -122,7 +122,9 @@ def sample_particles(pair: GaussianPair, n: int, seed: int) -> WeightedEmpirical
             WeightOverflowWarning,
             stacklevel=2,
         )
-    return WeightedEmpiricalMeasure(draws, ratios / n, int(seed))
+    del log_ratio  # freed before the measure copies the arrays
+    ratios /= n
+    return WeightedEmpiricalMeasure(draws, ratios, int(seed))
 
 
 def estimate(measure: WeightedEmpiricalMeasure, phi: Observable) -> float:
@@ -194,9 +196,12 @@ def ess_kl(w_hat: ProbabilityVector) -> float:
     """
     w = w_hat.entries
     n = w.size
-    positive = w > 0
-    exponent = float(np.sum(w[positive] * np.log(n * w[positive])))
-    return n / math.exp(exponent)
+    if w.min() == 0.0:
+        w = w[w > 0.0]
+    terms = n * w
+    np.log(terms, out=terms)
+    terms *= w
+    return n / math.exp(float(terms.sum()))
 
 
 @dataclass(frozen=True)
@@ -351,8 +356,11 @@ def _trial_block(
     """
     # the draws and log ratios are freed before f allocates its temporaries
     ratios = pair.ratios(_block_draws(pair, n, rngs))[1]
-    overflowed = np.isinf(ratios).any(axis=1)
     mass = ratios.mean(axis=1)
+    # an overflowed ratio makes the mass of its row +inf
+    overflowed = np.isinf(mass)
+    if overflowed.any():
+        overflowed = np.isinf(ratios).any(axis=1)
     divergence_estimate = _generator_values(f, ratios).mean(axis=1)
     mass_ok = (mass - 1.0) <= budget.epsilon
     estimate_ok = np.isfinite(divergence_estimate) & (
