@@ -78,20 +78,35 @@ class ConvexGenerator:
             raise ValueError("generator argument must be finite")
         if np.any(arr < 0):
             raise ValueError("generator argument must be nonnegative")
-        out = np.empty_like(arr)
-        zero = arr == 0.0
-        if zero.any():
-            out[zero] = self.value_at_zero
-        nonzero = ~zero
-        if nonzero.any():
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out[nonzero] = self.fn(arr[nonzero])
+        out = _generator_values(self, arr)
         if arr.ndim == 0:
             return float(out)
         return out
 
 
-# each built-in generator allocates one array and works on it in place
+def _generator_values(f: ConvexGenerator, ratios: np.ndarray) -> np.ndarray:
+    """f at each nonnegative ratio: ``value_at_zero`` at 0 and +inf at +inf.
+
+    ``ConvexGenerator.__call__`` evaluates through this after validating its
+    argument; the estimators call it directly on ``GaussianPair.ratios``,
+    which are nonnegative by construction, with an overflowed ratio as +inf.
+    ``f.fn`` is called on the whole array when every ratio is strictly
+    positive and finite, and otherwise on those that are.  A NaN ratio
+    raises ValueError.
+    """
+    lo, hi = ratios.min(initial=math.inf), ratios.max(initial=0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if lo > 0.0 and hi < math.inf:
+            return np.asarray(f.fn(ratios), dtype=float)
+        if math.isnan(lo):
+            raise ValueError("density ratio is NaN")
+        values = np.where(ratios == 0.0, f.value_at_zero, math.inf)
+        valid = np.flatnonzero((ratios > 0.0) & (ratios < math.inf))
+        np.put(values, valid, f.fn(ratios.take(valid)))
+    return values
+
+
+# in place on one temporary: at breakdown sizes every fresh array costs page faults
 def _kl_fn(x):
     out = np.log(x)
     out *= x
@@ -105,9 +120,7 @@ def _chi2_fn(x):
 
 
 def _tv_fn(x):
-    out = np.abs(x - 1.0)
-    out /= 2.0
-    return out
+    return np.abs(x - 1.0) / 2.0
 
 
 def _hellinger2_fn(x):

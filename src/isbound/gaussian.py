@@ -20,7 +20,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .divergences import ConvexGenerator, DivergenceKind, DivergenceValue
+from .divergences import ConvexGenerator, DivergenceKind, DivergenceValue, _generator_values
 
 __all__ = [
     "Gaussian1D",
@@ -153,26 +153,6 @@ class GaussianPair:
 def make_gaussian_model(target: Gaussian1D, proposal: Gaussian1D) -> GaussianPair:
     """Build the exact density-ratio model for a Gaussian pair."""
     return GaussianPair(target, proposal)
-
-
-def _generator_values(f: ConvexGenerator, ratios: np.ndarray) -> np.ndarray:
-    """f at each ratio: ``value_at_zero`` at 0 and +inf where the ratio overflowed.
-
-    Ratios from ``GaussianPair.ratios`` are nonnegative by construction, so
-    ``f.fn`` is called directly, on the whole array when every ratio is
-    strictly positive and finite and otherwise on those that are.  A NaN
-    ratio raises ValueError, as ``ConvexGenerator.__call__`` does.
-    """
-    lo, hi = ratios.min(initial=math.inf), ratios.max(initial=0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if lo > 0.0 and hi < math.inf:
-            return np.asarray(f.fn(ratios), dtype=float)
-        if math.isnan(lo):
-            raise ValueError("density ratio is NaN")
-        values = np.where(ratios == 0.0, f.value_at_zero, math.inf)
-        valid = np.flatnonzero((ratios > 0.0) & (ratios < math.inf))
-        np.put(values, valid, f.fn(ratios.take(valid)))
-    return values
 
 
 def density_crossings(target: Gaussian1D, proposal: Gaussian1D) -> tuple[float, ...]:

@@ -25,13 +25,12 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .bounds import ToleranceBudget
-from .divergences import ConvexGenerator, ProbabilityVector
+from .divergences import ConvexGenerator, ProbabilityVector, _generator_values
 from .gaussian import (
     GaussianPair,
     QuadratureSpec,
     SeedLike,
     WeightOverflowWarning,
-    _generator_values,
     _window_breakpoints,
     adaptive_integral,
 )
