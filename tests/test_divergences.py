@@ -47,10 +47,15 @@ class TestGeneratorEval:
         assert generator_eval(TOTAL_VARIATION, 0.0) == 0.5
         assert generator_eval(SQUARED_HELLINGER, 0.0) == 1.0
 
-    @pytest.mark.parametrize("bad", [-1.0, -1e-300, math.inf, math.nan])
+    @pytest.mark.parametrize("bad", [-1.0, -1e-300, math.inf, math.nan, -math.inf])
     def test_rejects_negative_and_nonfinite(self, bad):
-        with pytest.raises(ValueError):
-            generator_eval(KULLBACK_LEIBLER, bad)
+        for gen in ALL_GENERATORS:
+            with pytest.raises(ValueError):
+                generator_eval(gen, bad)
+            with pytest.raises(ValueError):
+                gen(bad)
+            with pytest.raises(ValueError):
+                gen(np.array([1.0, bad]))
 
     def test_vectorized_call_matches_scalar(self):
         xs = np.array([0.0, 0.25, 1.0, 2.0, 10.0])
