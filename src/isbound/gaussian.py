@@ -143,8 +143,9 @@ class GaussianPair:
         else:
             ratios = np.zeros_like(log_ratio)
             kept = np.flatnonzero(~(log_ratio < _EXP_UNDERFLOW))  # NaN is kept
+            taken = log_ratio.take(kept)
             with np.errstate(over="ignore"):
-                np.put(ratios, kept, np.exp(log_ratio.take(kept)))
+                np.put(ratios, kept, np.exp(taken, out=taken))
         if not log_ratio.max(initial=-math.inf) <= _EXP_OVERFLOW:
             ratios[log_ratio > _EXP_OVERFLOW] = np.inf
         return log_ratio, ratios
