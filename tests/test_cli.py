@@ -323,8 +323,10 @@ class TestInvalidConfigExitsTwo:
 
 GOLDEN = Path(__file__).parent / "golden"
 
-# byte-exact outputs recorded before the CLI moved to one row serializer;
-# closed forms only, so the bytes do not depend on the platform's exp
+# byte-exact outputs; the closed-form runs were recorded before the CLI moved
+# to one row serializer and do not depend on the platform's exp.  The Monte
+# Carlo and quadrature runs do, and pin the clamp of a negative KL estimate
+# and the quadrature table on this platform.
 GOLDEN_CLI_RUNS = {
     "cli_table1.csv": "table1",
     "cli_table2.csv": "table2 --seed 3",
@@ -336,6 +338,11 @@ GOLDEN_CLI_RUNS = {
     "--format json",
     "cli_breakdown_kl_n25.csv": "breakdown --target-mean 3 --particles 25 --replicates 1000 "
     "--metric kl --seed 7",
+    "cli_bounds_mc_clamped.csv": "bounds --target-mean 0.01 --method mc --mc-samples 1000 "
+    "--seed 5",
+    "cli_bounds_mc_clamped.json": "bounds --target-mean 0.01 --method mc --mc-samples 1000 "
+    "--seed 5 --format json",
+    "cli_table3_quadrature.csv": "table3 --method quadrature",
 }
 
 
