@@ -11,8 +11,10 @@ with probability at least one half.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .divergences import (
     ConvexGenerator,
@@ -68,29 +70,68 @@ def divergence_bound(n: int, f: ConvexGenerator, excess_mass: float = 0.0) -> fl
     return (generator_eval(f, (1.0 + excess_mass) * n) + (n - 1) * f.value_at_zero) / n
 
 
+class _MetricRules(NamedTuple):
+    """The bound's closed forms for one built-in metric.
+
+    ``cap`` is the largest value the divergence can take; ``bound(n, e)`` is
+    ``divergence_bound`` at excess mass e; ``threshold(d, eps, delta)`` is
+    the real N at which that bound plus delta reaches d; ``mse(d)`` is the
+    numerator of ``mse_minimum_size``.
+    """
+
+    cap: float
+    bound: Callable[[int, float], float]
+    threshold: Callable[[float, float, float], float]
+    mse: Callable[[float], float]
+
+
+_RULES = {
+    DivergenceKind.KULLBACK_LEIBLER: _MetricRules(
+        math.inf,
+        lambda n, e: (1.0 + e) * math.log(n * (1.0 + e)),
+        lambda d, eps, delta: math.exp((d - delta) / (1.0 + eps)) / (1.0 + eps),
+        math.expm1,
+    ),
+    DivergenceKind.CHI_SQUARED: _MetricRules(
+        math.inf,
+        lambda n, e: n * (1.0 + e) ** 2 - (1.0 + 2.0 * e),
+        lambda d, eps, delta: (1.0 + 2.0 * eps + d - delta) / (1.0 + eps) ** 2,
+        lambda d: d,
+    ),
+    DivergenceKind.TOTAL_VARIATION: _MetricRules(
+        1.0,
+        lambda n, e: 1.0 - 1.0 / n + e / 2.0,
+        lambda d, eps, delta: 1.0 / (1.0 + eps / 2.0 + delta - d),
+        lambda d: 4.0 * d * d,
+    ),
+    DivergenceKind.SQUARED_HELLINGER: _MetricRules(
+        2.0,
+        lambda n, e: 2.0 * (1.0 - math.sqrt((1.0 + e) / n) + e / 2.0),
+        lambda d, eps, delta: 4.0 * (1.0 + eps) / (2.0 + eps + delta - d) ** 2,
+        lambda d: d,
+    ),
+}
+
+
+def _rules(kind: DivergenceKind) -> _MetricRules:
+    try:
+        return _RULES[kind]
+    except KeyError:
+        raise ValueError(f"no closed-form bound for kind {kind!r}") from None
+
+
 def symbolic_divergence_bound(kind: DivergenceKind, n: int, excess_mass: float = 0.0) -> float:
     """Reference closed forms of the bound for the four built-in divergences."""
     n = _check_size(n)
-    e = float(excess_mass)
-    if kind is DivergenceKind.KULLBACK_LEIBLER:
-        return (1.0 + e) * math.log(n * (1.0 + e))
-    if kind is DivergenceKind.CHI_SQUARED:
-        return n * (1.0 + e) ** 2 - (1.0 + 2.0 * e)
-    if kind is DivergenceKind.TOTAL_VARIATION:
-        return 1.0 - 1.0 / n + e / 2.0
-    if kind is DivergenceKind.SQUARED_HELLINGER:
-        return 2.0 * (1.0 - math.sqrt((1.0 + e) / n) + e / 2.0)
-    raise ValueError(f"no closed form for kind {kind!r}")
+    return _rules(kind).bound(n, float(excess_mass))
 
 
-def _divergence_scalar(d, kind: DivergenceKind) -> float:
+def _divergence_scalar(d, rules: _MetricRules) -> float:
     value = float(d)
     if math.isnan(value) or value < 0:
         raise ValueError(f"divergence must be nonnegative, got {value!r}")
-    if kind is DivergenceKind.TOTAL_VARIATION and value > 1.0:
-        raise ValueError(f"total variation cannot exceed 1, got {value!r}")
-    if kind is DivergenceKind.SQUARED_HELLINGER and value > 2.0:
-        raise ValueError(f"squared Hellinger cannot exceed 2, got {value!r}")
+    if value > rules.cap:
+        raise ValueError(f"divergence cannot exceed the metric's cap {rules.cap:g}, got {value!r}")
     return value
 
 
@@ -102,16 +143,8 @@ def mse_minimum_size(mse_cap: float, d, kind: DivergenceKind) -> float:
     """
     if not (mse_cap > 0 and math.isfinite(mse_cap)):
         raise ValueError(f"MSE cap must be positive and finite, got {mse_cap!r}")
-    value = _divergence_scalar(d, kind)
-    if kind is DivergenceKind.CHI_SQUARED:
-        return value / mse_cap
-    if kind is DivergenceKind.KULLBACK_LEIBLER:
-        return math.expm1(value) / mse_cap if math.isfinite(value) else math.inf
-    if kind is DivergenceKind.TOTAL_VARIATION:
-        return 4.0 * value * value / mse_cap
-    if kind is DivergenceKind.SQUARED_HELLINGER:
-        return value / mse_cap
-    raise ValueError(f"no MSE threshold for kind {kind!r}")
+    rules = _rules(kind)
+    return rules.mse(_divergence_scalar(d, rules)) / mse_cap
 
 
 def necessary_condition_holds(
@@ -125,21 +158,6 @@ def necessary_condition_holds(
     if math.isinf(value):
         return False
     return value <= divergence_bound(n, f, budget.epsilon) + budget.delta
-
-
-def _threshold(value: float, kind: DivergenceKind, budget: ToleranceBudget) -> float:
-    eps, delta = budget.epsilon, budget.delta
-    if math.isinf(value):
-        return math.inf
-    if kind is DivergenceKind.KULLBACK_LEIBLER:
-        return math.exp((value - delta) / (1.0 + eps)) / (1.0 + eps)
-    if kind is DivergenceKind.CHI_SQUARED:
-        return (1.0 + 2.0 * eps + value - delta) / (1.0 + eps) ** 2
-    if kind is DivergenceKind.TOTAL_VARIATION:
-        return 1.0 / (1.0 + eps / 2.0 + delta - value)
-    if kind is DivergenceKind.SQUARED_HELLINGER:
-        return 4.0 * (1.0 + eps) / (2.0 + eps + delta - value) ** 2
-    raise ValueError(f"no sample-size threshold for kind {kind!r}")
 
 
 def _guarded_ceil(x: float):
@@ -184,13 +202,18 @@ def necessary_sample_size(
     """Sample-size threshold below which importance sampling must break down.
 
     ``d`` may be a DivergenceValue or a bare float (recorded as closed form);
-    Hellinger input is always the squared distance.
+    Hellinger input is always the squared distance.  A Monte Carlo estimate,
+    which sampling noise can carry outside the metric's range, is clamped
+    into [0, cap] first, and the report carries the clamped value.
     """
+    rules = _rules(kind)
     if not isinstance(d, DivergenceValue):
-        d = DivergenceValue(_divergence_scalar(d, kind), "closed_form")
+        d = DivergenceValue(_divergence_scalar(d, rules), "closed_form")
+    elif d.method == "monte_carlo":
+        d = dataclasses.replace(d, value=min(max(d.value, 0.0), rules.cap))
     else:
-        _divergence_scalar(d, kind)
-    threshold = _threshold(d.value, kind, budget)
+        _divergence_scalar(d, rules)
+    threshold = rules.threshold(d.value, budget.epsilon, budget.delta)
     if math.isfinite(threshold) and threshold <= 0:
         raise ValueError(
             f"budget {budget} makes the {kind.value} threshold nonpositive"
@@ -243,13 +266,8 @@ def max_certifiable_size(kind: DivergenceKind, budget: ToleranceBudget) -> float
 
     Total variation and Hellinger are bounded metrics, so their thresholds
     cap out (at distance 1, resp. squared distance 2); the unbounded KL and
-    chi-squared divergences can demand arbitrarily large sample sizes.
+    chi-squared divergences can demand arbitrarily large sample sizes.  The
+    cap is the threshold at the metric's largest value.
     """
-    eps, delta = budget.epsilon, budget.delta
-    if kind is DivergenceKind.TOTAL_VARIATION:
-        return 1.0 / (eps / 2.0 + delta)
-    if kind is DivergenceKind.SQUARED_HELLINGER:
-        return 4.0 * (1.0 + eps) / (eps + delta) ** 2
-    if kind in (DivergenceKind.KULLBACK_LEIBLER, DivergenceKind.CHI_SQUARED):
-        return math.inf
-    raise ValueError(f"no certifiable-size cap for kind {kind!r}")
+    rules = _rules(kind)
+    return rules.threshold(rules.cap, budget.epsilon, budget.delta)

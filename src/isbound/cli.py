@@ -77,11 +77,6 @@ _CLOSED_FORMS = {
     DivergenceKind.SQUARED_HELLINGER: gaussian_squared_hellinger,
 }
 
-_METRIC_RANGE_CAP = {
-    DivergenceKind.TOTAL_VARIATION: 1.0,
-    DivergenceKind.SQUARED_HELLINGER: 2.0,
-}
-
 THRESHOLD_FIELDS = (
     "row_label", "metric", "divergence", "divergence_method", "divergence_stderr",
     "threshold", "threshold_full", "necessary_n_integer", "epsilon", "delta", "seed",
@@ -127,24 +122,13 @@ def _compute_divergence(
     raise ConfigError(f"unknown divergence method {method!r}")
 
 
-def _threshold_input(d: DivergenceValue, kind: DivergenceKind) -> float:
-    """Clamp a noisy estimate into the metric's range before inverting.
-
-    Monte Carlo estimates can stray slightly outside [0, cap] for bounded
-    metrics; the raw estimate is still reported in the divergence column.
-    """
-    value = d.value
-    if d.method == "monte_carlo":
-        value = max(value, 0.0)
-        cap = _METRIC_RANGE_CAP.get(kind)
-        if cap is not None:
-            value = min(value, cap)
-    return value
-
-
 @dataclass(frozen=True)
 class ThresholdRecord:
-    """One (row, metric) cell of a necessary-sample-size table."""
+    """One (row, metric) cell of a necessary-sample-size table.
+
+    ``divergence`` is the raw value; the report holds it clamped into the
+    metric's range when it is a Monte Carlo estimate.
+    """
 
     row_label: str
     metric: DivergenceKind
@@ -185,11 +169,7 @@ def _run_pairs(
         for column, kind in enumerate(metrics):
             cell_seed = _cell_seed(seed, row, column) if method == "mc" else seed
             d = _compute_divergence(pair, kind, method, mc_samples, cell_seed)
-            report = necessary_sample_size(
-                DivergenceValue(_threshold_input(d, kind), d.method, d.std_error, d.sample_count),
-                kind,
-                budget,
-            )
+            report = necessary_sample_size(d, kind, budget)
             records.append(ThresholdRecord(label, kind, d, report, cell_seed))
     return records
 
@@ -392,7 +372,7 @@ def _add_common(parser: argparse.ArgumentParser, pair: bool = True) -> None:
     parser.add_argument("--delta", type=float, default=0.1, help="estimation tolerance")
     parser.add_argument(
         "--metric",
-        choices=["kl", "chi2", "tv", "hellinger", "all"],
+        choices=[*(kind.value for kind in _CLOSED_FORMS), "all"],
         default="all",
     )
     parser.add_argument("--method", choices=["closed", "quadrature", "mc"], default="closed")

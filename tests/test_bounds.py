@@ -173,6 +173,33 @@ class TestNecessarySampleSize:
         with pytest.raises(ValueError):
             necessary_sample_size(-0.1, KL, BUDGET)
 
+    def test_negative_monte_carlo_estimate_is_clamped_to_zero(self):
+        estimate = DivergenceValue(-0.01, "monte_carlo", std_error=0.02, sample_count=100)
+        report = necessary_sample_size(estimate, KL, BUDGET)
+        assert report.threshold == necessary_sample_size(0.0, KL, BUDGET).threshold
+        assert report.divergence == DivergenceValue(0.0, "monte_carlo", 0.02, 100)
+
+    def test_infinite_monte_carlo_tv_is_clamped_to_the_cap(self):
+        estimate = DivergenceValue(math.inf, "monte_carlo", std_error=math.inf, sample_count=100)
+        report = necessary_sample_size(estimate, TV, BUDGET)
+        assert report.threshold == max_certifiable_size(TV, BUDGET)
+        assert report.divergence.value == 1.0
+
+    def test_closed_form_beyond_the_cap_still_raises(self):
+        with pytest.raises(ValueError):
+            necessary_sample_size(DivergenceValue(1.0001, "closed_form"), TV, BUDGET)
+
+    def test_custom_kind_has_no_closed_form_rules(self):
+        custom = DivergenceKind.CUSTOM
+        with pytest.raises(ValueError):
+            necessary_sample_size(1.0, custom, BUDGET)
+        with pytest.raises(ValueError):
+            max_certifiable_size(custom, BUDGET)
+        with pytest.raises(ValueError):
+            mse_minimum_size(1.0, 1.0, custom)
+        with pytest.raises(ValueError):
+            symbolic_divergence_bound(custom, 3)
+
     def test_relative_delta_is_plain_reparametrization(self):
         # delta given as a fraction of the divergence equals the absolute call
         d = 3.2
