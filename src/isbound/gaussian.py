@@ -25,7 +25,6 @@ from .divergences import ConvexGenerator, DivergenceKind, DivergenceValue, _gene
 __all__ = [
     "Gaussian1D",
     "GaussianPair",
-    "QuadratureSpec",
     "QuadratureError",
     "WeightOverflowWarning",
     "make_gaussian_model",
@@ -240,26 +239,12 @@ def gaussian_total_variation(target: Gaussian1D, proposal: Gaussian1D) -> Diverg
     return DivergenceValue(min(max(value, 0.0), 1.0), "closed_form")
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances and window size for adaptive integration.
-
-    ``integration_window`` is the number of scales covered on each side of
-    every Gaussian-shaped component of the integrand (both densities and the
-    bumps formed by density-ratio powers).
-    """
-
-    absolute_tolerance: float = 1e-10
-    relative_tolerance: float = 1e-10
-    integration_window: float = 40.0
-
-    def __post_init__(self):
-        if self.absolute_tolerance <= 0 or self.relative_tolerance <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.integration_window < 10:
-            raise ValueError("integration window must cover at least 10 standard deviations")
-
-
+# adaptive integration accepts an error up to max(absolute, relative * |integral|)
+_ABSOLUTE_TOLERANCE = 1e-10
+_RELATIVE_TOLERANCE = 1e-10
+# scales covered on each side of every Gaussian-shaped component of the
+# integrand (both densities and the bumps formed by density-ratio powers)
+_INTEGRATION_WINDOW = 40.0
 _MAX_INTERVALS = 10_000
 
 # QUADPACK qk15 (Piessens et al. 1983): Kronrod nodes on [0, 1] from the outside
@@ -282,7 +267,6 @@ _WEIGHTS = np.concatenate([_QK15[:, 1:], _QK15[-2::-1, 1:]])
 def adaptive_integral(
     fn: Callable[[np.ndarray], np.ndarray],
     breakpoints,
-    spec: QuadratureSpec | None = None,
 ) -> float:
     """Adaptive Gauss-Kronrod (G7/K15) integration over [min(bp), max(bp)].
 
@@ -297,7 +281,6 @@ def adaptive_integral(
     divergent shape of the integrand); a non-negligible but decaying edge
     means the window is too small and raises QuadratureError.
     """
-    spec = spec or QuadratureSpec()
     pts = np.unique(np.asarray(breakpoints, dtype=float))
     if pts.size < 2:
         raise ValueError("need at least two distinct breakpoints")
@@ -314,7 +297,7 @@ def adaptive_integral(
             err = np.abs(kronrod - gauss)
             if not math.isfinite(estimate := total + float(kronrod.sum())):
                 return math.inf
-            tol = max(spec.absolute_tolerance, spec.relative_tolerance * abs(estimate))
+            tol = max(_ABSOLUTE_TOLERANCE, _RELATIVE_TOLERANCE * abs(estimate))
             remaining = max(tol - accepted_err, 0.0)
             # either every open panel fits or each gets its width's share
             ok = err <= remaining * (1.0 if err.sum() <= remaining else half / half.sum())
@@ -330,12 +313,12 @@ def adaptive_integral(
             mid = 0.5 * (lo + hi)
             lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
 
-        if not _edges_certified(fn, float(pts[0]), float(pts[-1]), total, spec):
+        if not _edges_certified(fn, float(pts[0]), float(pts[-1]), total):
             return math.inf
     return total
 
 
-def _edges_certified(fn, lo: float, hi: float, total: float, spec: QuadratureSpec) -> bool:
+def _edges_certified(fn, lo: float, hi: float, total: float) -> bool:
     """Check the integrand is relatively negligible at the window edges.
 
     Returns False (diagnosed divergent) when either edge is non-negligible
@@ -344,7 +327,7 @@ def _edges_certified(fn, lo: float, hi: float, total: float, spec: QuadratureSpe
     """
     width = hi - lo
     step = 1e-3 * width
-    negligible = max(spec.absolute_tolerance, spec.relative_tolerance * abs(total))
+    negligible = max(_ABSOLUTE_TOLERANCE, _RELATIVE_TOLERANCE * abs(total))
     # both edges and a point just inside each, in one integrand call
     values = np.abs(fn(np.array([lo, lo + step, hi, hi - step])))
     if not np.isfinite(values).all():
@@ -395,12 +378,11 @@ def _integrand_bumps(target: Gaussian1D, proposal: Gaussian1D) -> list[tuple[flo
     return bumps
 
 
-def _window_breakpoints(pair: GaussianPair, spec: QuadratureSpec) -> np.ndarray:
+def _window_breakpoints(pair: GaussianPair) -> np.ndarray:
     target, proposal = pair.target, pair.proposal
     bumps = _integrand_bumps(target, proposal)
-    window = spec.integration_window
-    lo = min(center - window * scale for center, scale in bumps)
-    hi = max(center + window * scale for center, scale in bumps)
+    lo = min(center - _INTEGRATION_WINDOW * scale for center, scale in bumps)
+    hi = max(center + _INTEGRATION_WINDOW * scale for center, scale in bumps)
     pts = [np.array([lo, hi])]
     for center, scale in bumps:
         pts.append(center + scale * _BUMP_OFFSETS)
@@ -447,11 +429,7 @@ def _stable_integrand(
     return integrand
 
 
-def quadrature_divergence(
-    pair: GaussianPair,
-    f: ConvexGenerator,
-    spec: QuadratureSpec | None = None,
-) -> DivergenceValue:
+def quadrature_divergence(pair: GaussianPair, f: ConvexGenerator) -> DivergenceValue:
     """Numerically integrate f(g(x)) q(x) over the window; the oracle route.
 
     Returns an infinite DivergenceValue when the integral is diagnosed
@@ -459,9 +437,8 @@ def quadrature_divergence(
     non-negligible and still growing) and raises QuadratureError when the
     adaptive scheme fails its tolerance.
     """
-    spec = spec or QuadratureSpec()
-    points = _window_breakpoints(pair, spec)
-    total = adaptive_integral(_stable_integrand(pair, f), points, spec)
+    points = _window_breakpoints(pair)
+    total = adaptive_integral(_stable_integrand(pair, f), points)
     if math.isinf(total):
         return DivergenceValue(math.inf, "quadrature")
     if total < -1e-8:

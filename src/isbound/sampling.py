@@ -28,7 +28,6 @@ from .bounds import ToleranceBudget
 from .divergences import ConvexGenerator, ProbabilityVector, _generator_values
 from .gaussian import (
     GaussianPair,
-    QuadratureSpec,
     SeedLike,
     WeightOverflowWarning,
     _window_breakpoints,
@@ -139,12 +138,7 @@ def estimate(measure: WeightedEmpiricalMeasure, phi: Observable) -> float:
     return float(np.sum(measure.weights * values))
 
 
-def exact_mse(
-    pair: GaussianPair,
-    phi: Observable,
-    n: int,
-    spec: QuadratureSpec | None = None,
-) -> float:
+def exact_mse(pair: GaussianPair, phi: Observable, n: int) -> float:
     """Var_Q(g phi) / N computed by quadrature.
 
     Returns +inf (diagnosed) when the second moment of g phi under the
@@ -152,11 +146,10 @@ def exact_mse(
     """
     if n < 1:
         raise ValueError(f"sample size must be at least 1, got {n}")
-    spec = spec or QuadratureSpec()
     lt = pair.target.log_pdf
     lr = pair.log_ratio
     lq = pair.proposal.log_pdf
-    points = _window_breakpoints(pair, spec)
+    points = _window_breakpoints(pair)
 
     def first_moment(x):
         return np.exp(lt(x)) * np.asarray(phi.fn(x), dtype=float)
@@ -164,10 +157,10 @@ def exact_mse(
     def second_moment(x):
         return np.exp(2.0 * lr(x) + lq(x)) * np.asarray(phi.fn(x), dtype=float) ** 2
 
-    m2 = adaptive_integral(second_moment, points, spec)
+    m2 = adaptive_integral(second_moment, points)
     if math.isinf(m2):
         return math.inf
-    m1 = adaptive_integral(first_moment, points, spec)
+    m1 = adaptive_integral(first_moment, points)
     return max(m2 - m1 * m1, 0.0) / n
 
 

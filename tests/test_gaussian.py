@@ -23,7 +23,6 @@ from isbound import (
     Gaussian1D,
     Observable,
     QuadratureError,
-    QuadratureSpec,
     adaptive_integral,
     custom_generator,
     density_crossings,
@@ -213,12 +212,6 @@ class TestClosedForms:
 
 
 class TestQuadrature:
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(absolute_tolerance=0.0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(integration_window=5.0)
-
     def test_identical_pair_integrates_to_zero(self):
         model = make_gaussian_model(STD_NORMAL, STD_NORMAL)
         for gen in (KULLBACK_LEIBLER, CHI_SQUARED, TOTAL_VARIATION, SQUARED_HELLINGER):
