@@ -212,7 +212,7 @@ def gaussian_chi_squared(target: Gaussian1D, proposal: Gaussian1D) -> Divergence
     """
     s2 = target.variance / proposal.variance
     m = (target.mean - proposal.mean) / proposal.std
-    if s2 >= 2.0:
+    if not ratio_moment_is_finite(2.0, s2):
         return DivergenceValue(math.inf, "closed_form")
     value = math.exp(m * m / (2.0 - s2)) / (math.sqrt(s2) * math.sqrt(2.0 - s2)) - 1.0
     return DivergenceValue(max(value, 0.0), "closed_form")
@@ -500,9 +500,10 @@ def monte_carlo_divergence(
 def ratio_moment_is_finite(order: float, target_variance: float) -> bool:
     """Whether the density ratio of N(0, v) against N(0, 1) has a finite moment.
 
-    For ``order`` > 1 the criterion is v <= order / (order - 1); orders up
-    to one are always finite.  Note the order-2 boundary v = 2 is where the
-    chi-squared closed form already reports +inf.
+    For ``order`` > 1 the criterion is v < order / (order - 1); orders up
+    to one are always finite.  At v = order / (order - 1) the integrand
+    g^order q is constant, so the moment is infinite.  The chi-squared
+    closed form decides finiteness with this at order 2.
     """
     if order <= 0:
         raise ValueError(f"moment order must be positive, got {order!r}")
@@ -510,4 +511,4 @@ def ratio_moment_is_finite(order: float, target_variance: float) -> bool:
         raise ValueError(f"variance must be positive, got {target_variance!r}")
     if order <= 1.0:
         return True
-    return target_variance <= order / (order - 1.0)
+    return target_variance < order / (order - 1.0)

@@ -408,6 +408,15 @@ class TestMomentCriterion:
         assert ratio_moment_is_finite(1.0, 1e9) is True
         assert ratio_moment_is_finite(0.5, 123.0) is True
 
+    def test_boundary_moment_is_infinite(self):
+        # at v = order / (order - 1) the integrand g^order q is constant
+        assert ratio_moment_is_finite(2.0, 2.0) is False
+        assert ratio_moment_is_finite(3.0, 1.5) is False
+        target = Gaussian1D(0.0, 2.0)
+        assert gaussian_chi_squared(target, STD_NORMAL).value == math.inf
+        model = make_gaussian_model(target, STD_NORMAL)
+        assert quadrature_divergence(model, CHI_SQUARED).value == math.inf
+
     def test_rejects_nonpositive_arguments(self):
         with pytest.raises(ValueError):
             ratio_moment_is_finite(0.0, 1.0)
