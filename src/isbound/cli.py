@@ -362,21 +362,29 @@ def render_json(command: str, payload, config: dict) -> str:
     return json.dumps({"config": config, "rows": rows}, indent=2) + "\n"
 
 
-def _add_common(parser: argparse.ArgumentParser, pair: bool = True) -> None:
+def _add_flags(
+    parser: argparse.ArgumentParser, pair: bool = False, budget: bool = False,
+    method: bool = False,
+) -> None:
+    """Give a command the flags it reads: the Gaussian pair, the budget and
+    metric, the divergence method; every command takes the output flags and
+    ``--seed``."""
     if pair:
         parser.add_argument("--target-mean", type=float, default=0.0)
         parser.add_argument("--target-var", type=float, default=1.0)
         parser.add_argument("--proposal-mean", type=float, default=0.0)
         parser.add_argument("--proposal-var", type=float, default=1.0)
-    parser.add_argument("--eps", type=float, default=0.1, help="mass inflation tolerance")
-    parser.add_argument("--delta", type=float, default=0.1, help="estimation tolerance")
-    parser.add_argument(
-        "--metric",
-        choices=[*(kind.value for kind in _CLOSED_FORMS), "all"],
-        default="all",
-    )
-    parser.add_argument("--method", choices=["closed", "quadrature", "mc"], default="closed")
-    parser.add_argument("--mc-samples", type=int, default=10**6)
+    if budget:
+        parser.add_argument("--eps", type=float, default=0.1, help="mass inflation tolerance")
+        parser.add_argument("--delta", type=float, default=0.1, help="estimation tolerance")
+        parser.add_argument(
+            "--metric",
+            choices=[*(kind.value for kind in _CLOSED_FORMS), "all"],
+            default="all",
+        )
+    if method:
+        parser.add_argument("--method", choices=["closed", "quadrature", "mc"], default="closed")
+        parser.add_argument("--mc-samples", type=int, default=10**6)
     parser.add_argument("--seed", type=int, default=None, help=f"default: ${SEED_ENV_VAR} or 0")
     parser.add_argument("--format", choices=["csv", "json"], default="csv")
     parser.add_argument("--out", default=None, help="write output to PATH instead of stdout")
@@ -394,29 +402,31 @@ def build_parser() -> argparse.ArgumentParser:
         description="f-divergences and necessary sample sizes for importance sampling",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # no prefix matching: table1 would read a stray --eps as --eps-list
+    add_command = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p1 = sub.add_parser("table1", help="generic vs symbolic divergence bounds")
+    p1 = add_command("table1", help="generic vs symbolic divergence bounds")
     p1.add_argument("--n-list", default="1,2,4,10,100,1000", help="comma-separated sizes")
     p1.add_argument("--eps-list", default="0,0.1,1", help="comma-separated mass excesses")
-    _add_common(p1, pair=False)
+    _add_flags(p1)
 
     for name, help_text in (
         ("table2", "mean-shift necessary-sample-size table"),
         ("table3", "variance necessary-sample-size table"),
     ):
-        p = sub.add_parser(name, help=help_text)
-        _add_common(p, pair=False)
+        p = add_command(name, help=help_text)
+        _add_flags(p, budget=True, method=True)
 
-    pb = sub.add_parser("bounds", help="necessary sample sizes for one Gaussian pair")
-    _add_common(pb)
+    pb = add_command("bounds", help="necessary sample sizes for one Gaussian pair")
+    _add_flags(pb, pair=True, budget=True, method=True)
 
-    pk = sub.add_parser("breakdown", help="replicated breakdown experiment")
-    _add_common(pk)
+    pk = add_command("breakdown", help="replicated breakdown experiment")
+    _add_flags(pk, pair=True, budget=True)
     pk.add_argument("--particles", type=int, default=100)
     pk.add_argument("--replicates", type=int, default=100)
 
-    pe = sub.add_parser("ess", help="effective sample size diagnostics")
-    _add_common(pe)
+    pe = add_command("ess", help="effective sample size diagnostics")
+    _add_flags(pe, pair=True)
     pe.add_argument("--particles", type=int, default=100)
 
     return parser
@@ -447,7 +457,7 @@ def _validate(args) -> None:
         if getattr(args, name, 1) < 1:
             raise ConfigError(f"--{name.replace('_', '-')} must be at least 1")
     # a Monte Carlo standard error needs at least two samples
-    if args.method == "mc" and args.mc_samples < 2:
+    if getattr(args, "method", None) == "mc" and args.mc_samples < 2:
         raise ConfigError("--mc-samples must be at least 2 with --method mc")
 
 
@@ -464,23 +474,23 @@ def _parse_list(raw: str, caster):
 def _dispatch(args, seed: int):
     if args.command == "table1":
         return run_table1(_parse_list(args.n_list, int), _parse_list(args.eps_list, float))
+    pair = ()
+    if args.command not in ("table2", "table3"):
+        pair = (Gaussian1D(args.target_mean, args.target_var),
+                Gaussian1D(args.proposal_mean, args.proposal_var))
+    if args.command == "ess":
+        return run_ess(*pair, args.particles, seed)
+    if args.command == "breakdown":
+        return run_breakdown(
+            *pair, args.metric, args.particles, args.replicates, args.eps, args.delta, seed
+        )
     options = (args.eps, args.delta, args.method, seed, args.mc_samples, args.metric)
     if args.command == "table2":
         return run_table2(*options)
     if args.command == "table3":
         return run_table3(*options)
-
-    target = Gaussian1D(args.target_mean, args.target_var)
-    proposal = Gaussian1D(args.proposal_mean, args.proposal_var)
     if args.command == "bounds":
-        return run_bounds(target, proposal, *options)
-    if args.command == "breakdown":
-        return run_breakdown(
-            target, proposal, args.metric, args.particles, args.replicates,
-            args.eps, args.delta, seed,
-        )
-    if args.command == "ess":
-        return run_ess(target, proposal, args.particles, seed)
+        return run_bounds(*pair, *options)
     raise ConfigError(f"unknown command {args.command!r}")
 
 

@@ -299,6 +299,48 @@ NON_FINITE_ARGV = {
 }
 
 
+# the flags each command does not read, with a value each would accept
+UNREAD_FLAGS = {
+    "table1": ("--eps", "--delta", "--metric", "--method", "--mc-samples"),
+    "breakdown": ("--method", "--mc-samples"),
+    "ess": ("--eps", "--delta", "--metric", "--method", "--mc-samples"),
+}
+FLAG_VALUES = {"--eps": "9", "--delta": "0.2", "--metric": "tv", "--method": "mc",
+               "--mc-samples": "10"}
+COMMAND_ARGV = {
+    "table1": ["table1", "--n-list", "1,2"],
+    "table2": ["table2"],
+    "table3": ["table3", "--metric", "kl"],
+    "bounds": ["bounds"],
+    "breakdown": ["breakdown", "--metric", "kl", "--particles", "5", "--replicates", "5"],
+    "ess": ["ess", "--particles", "10"],
+}
+
+
+class TestCommandFlags:
+    @pytest.mark.parametrize(
+        "command,flag", [(c, f) for c, flags in sorted(UNREAD_FLAGS.items()) for f in flags]
+    )
+    def test_unread_flag_is_rejected(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*COMMAND_ARGV[command], flag, FLAG_VALUES[flag]])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_ARGV))
+    def test_config_records_only_read_flags(self, command, capsys):
+        assert main([*COMMAND_ARGV[command], "--seed", "2", "--format", "json"]) == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert config["seed"] == 2
+        assert not set(UNREAD_FLAGS.get(command, ())) & {
+            "--" + key.replace("_", "-") for key in config
+        }
+
+    def test_breakdown_needs_a_single_metric(self, capsys):
+        assert main(["breakdown", "--particles", "5", "--replicates", "5"]) == 2
+        assert "single metric" in capsys.readouterr().err
+
+
 class TestInvalidConfigExitsTwo:
     @pytest.mark.parametrize("command", sorted(SEEDED_ARGV))
     def test_negative_seed_flag(self, command, capsys):
