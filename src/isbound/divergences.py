@@ -142,34 +142,30 @@ BUILTIN_GENERATORS: dict[DivergenceKind, ConvexGenerator] = {
 
 
 def custom_generator(
-    fn: Callable[[np.ndarray], np.ndarray],
-    value_at_zero: float,
-    check: bool = True,
+    fn: Callable[[np.ndarray], np.ndarray], value_at_zero: float
 ) -> ConvexGenerator:
     """Wrap a user-supplied convex function as a generator.
 
-    When ``check`` is true, verifies f(1) = 0 and midpoint convexity on a
-    sampled grid over (0, 1e3].  Convexity is checked, not proven.
+    Verifies f(1) = 0 and midpoint convexity on a sampled grid over
+    (0, 1e3].  Convexity is checked, not proven.
     """
     gen = ConvexGenerator(DivergenceKind.CUSTOM, fn, float(value_at_zero))
-    if check:
-        if abs(float(fn(np.asarray(1.0)))) > 1e-12:
-            raise ValueError("custom generator must satisfy f(1) = 0")
-        grid = np.geomspace(1e-6, 1e3, 64)
-        a, b = np.meshgrid(grid, grid)
-        fa, fb = gen(a.ravel()), gen(b.ravel())
-        fm = gen((a.ravel() + b.ravel()) / 2.0)
-        if np.any(fm > (fa + fb) / 2.0 + 1e-12):
-            raise ValueError("custom generator failed the midpoint convexity check")
+    if abs(float(fn(np.asarray(1.0)))) > 1e-12:
+        raise ValueError("custom generator must satisfy f(1) = 0")
+    grid = np.geomspace(1e-6, 1e3, 64)
+    a, b = np.meshgrid(grid, grid)
+    fa, fb = gen(a.ravel()), gen(b.ravel())
+    fm = gen((a.ravel() + b.ravel()) / 2.0)
+    if np.any(fm > (fa + fb) / 2.0 + 1e-12):
+        raise ValueError("custom generator failed the midpoint convexity check")
     return gen
 
 
 def generator_eval(f: ConvexGenerator, x: float) -> float:
-    """Evaluate f at a single nonnegative point; x = 0 returns the 0+ limit."""
-    if not math.isfinite(x):
-        raise ValueError(f"generator argument must be finite, got {x!r}")
-    if x < 0:
-        raise ValueError(f"generator argument must be nonnegative, got {x!r}")
+    """Evaluate f at a single nonnegative point; x = 0 returns the 0+ limit.
+
+    Rejects a negative or non-finite ``x`` as ``ConvexGenerator.__call__`` does.
+    """
     return float(f(x))
 
 
