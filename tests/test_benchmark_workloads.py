@@ -1,20 +1,26 @@
-"""Smoke test: every benchmark operation runs once and passes its own output check.
+"""Benchmark contract tests, with the ``perfbench`` modules loaded read-only by path.
 
-``perfbench/workloads.py`` is loaded read-only by path, so a change that breaks
-a benchmark output check fails here, not only in a benchmark run.
+Every benchmark operation runs once and passes its own output check, so a
+change that breaks a benchmark output check fails here, not only in a
+benchmark run.  The tracer still sees the spans the per-layer readings are
+built from.
 """
 
+import contextlib
 import importlib.util
+import io
 import sys
 from pathlib import Path
 
 import pytest
 
-WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+from isbound import DivergenceKind, cli, gaussian
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PY)
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     # dataclasses look their defining module up in sys.modules
     sys.modules[spec.name] = module
@@ -25,8 +31,25 @@ def load_workloads():
 @pytest.mark.slow
 @pytest.mark.parametrize("name", ["quadrature-oracle", "breakdown-small", "large-arrays"])
 def test_every_operation_passes_its_check(name):
-    workloads = load_workloads()
+    workloads = load_perfbench("workloads")
     ops = workloads.build(name, seed=1)
     assert ops
     for op in ops:
         op.check(op.run())
+
+
+def test_tracer_sees_closed_forms_bounds_and_the_pair_model():
+    """The tracer rewrites module globals and module-level dict values only, so
+    the CLI must reach the closed forms through its plain ``_CLOSED_FORMS`` dict
+    and build its pairs with ``make_gaussian_model``."""
+    tracer = load_perfbench("tracing").Tracer()
+    argv = ["bounds", "--target-mean", "1", "--method", "mc", "--mc-samples", "100"]
+    with tracer, contextlib.redirect_stdout(io.StringIO()):
+        tracer.begin_op(0)
+        assert cli.main(argv) == 0
+        tracer.end_op()
+    calls = {name: stats.calls for name, stats in tracer.stats.items()}
+    assert calls["gaussian.closed_form"] == 4
+    assert calls["bounds.necessary_sample_size"] == 4
+    assert calls["gaussian.proposal_sampler"] == 4
+    assert cli._CLOSED_FORMS[DivergenceKind.KULLBACK_LEIBLER] is gaussian.gaussian_kl
