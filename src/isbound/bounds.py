@@ -11,9 +11,8 @@ with probability at least one half.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 from .divergences import (
@@ -210,7 +209,7 @@ def necessary_sample_size(
     if not isinstance(d, DivergenceValue):
         d = DivergenceValue(_divergence_scalar(d, rules), "closed_form")
     elif d.method == "monte_carlo":
-        d = dataclasses.replace(d, value=min(max(d.value, 0.0), rules.cap))
+        d = replace(d, value=min(max(d.value, 0.0), rules.cap))
     else:
         _divergence_scalar(d, rules)
     threshold = rules.threshold(d.value, budget.epsilon, budget.delta)
