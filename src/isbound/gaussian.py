@@ -264,10 +264,7 @@ _NODES = np.concatenate([-_QK15[:, 0], _QK15[-2::-1, 0]])
 _WEIGHTS = np.concatenate([_QK15[:, 1:], _QK15[-2::-1, 1:]])
 
 
-def adaptive_integral(
-    fn: Callable[[np.ndarray], np.ndarray],
-    breakpoints,
-) -> float:
+def adaptive_integral(fn: Callable[[np.ndarray], np.ndarray], breakpoints) -> float:
     """Adaptive Gauss-Kronrod (G7/K15) integration over [min(bp), max(bp)].
 
     Panels between the breakpoints are refined in sweeps.  Each sweep calls
