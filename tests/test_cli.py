@@ -385,6 +385,9 @@ GOLDEN_CLI_RUNS = {
     "cli_bounds_mc_clamped.json": "bounds --target-mean 0.01 --method mc --mc-samples 1000 "
     "--seed 5 --format json",
     "cli_table3_quadrature.csv": "table3 --method quadrature",
+    "cli_table2_quadrature.json": "table2 --method quadrature --format json",
+    "cli_bounds_infinite_chi2_quadrature.json": "bounds --target-mean 1.3 --target-var 3 "
+    "--method quadrature --format json",
 }
 
 

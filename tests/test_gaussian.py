@@ -281,6 +281,71 @@ class TestQuadrature:
         assert math.isfinite(values[0]) and values[1] == math.inf
 
 
+# float.hex of the quadrature KL, chi2, TV and squared Hellinger, then
+# exact_mse for phi = 1 and phi = x, against N(0, 1); recorded before a pair's
+# window, first sweep and log densities were shared by its integrals.  The
+# first pair's chi2 and second moments refine past the first sweep before
+# they are diagnosed infinite; (1.3, 3.0) overflows in the first sweep.
+QUADRATURE_HEX = {
+    (3.7714056222689254, 2.477747229085177): (
+        "0x1.d9679c6939b38p+2", "inf", "0x1.b92a764c06e7cp-1", "0x1.50c611ff71e18p+0",
+        "inf", "inf"),
+    (1.3, 3.0): (
+        "0x1.4bb297afb69fep+0", "inf", "0x1.acbd08e22e31ap-2", "0x1.4d29a8c20f0c2p-2",
+        "inf", "inf"),
+    (0.0, 2.0): (
+        "0x1.3a37a020b8c22p-3", "inf", "0x1.541966d8c1e77p-3", "0x1.db67d7051d022p-5",
+        "inf", "inf"),
+    (0.0, 1.0): (
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p+0"),
+    (2.0, 1.0): (
+        "0x1.0000000000001p+1", "0x1.acc902e273a59p+5", "0x1.5d897a241a6fap-1",
+        "0x1.92e9a0720d3ecp-1", "0x1.acc902e273a5ap+5", "0x1.ce1593109adfep+9"),
+    (3.0, 1.0): (
+        "0x1.2000000000000p+2", "0x1.fa6157c470f79p+12", "0x1.bb96e49da6e04p-1",
+        "0x1.59c726dc42a70p+0", "0x1.fa6157c470f7ap+12", "0x1.24c746bd914f0p+18"),
+    (0.5, 0.3): (
+        "0x1.8208b9314e7dbp-2", "0x1.3e85e8e6637dcp-1", "0x1.6d1000dae2790p-2",
+        "0x1.00438e99a9ab6p-2", "0x1.3e85e8e6637d8p-1", "0x1.31f0edbacfe2fp-1"),
+    (2.0, 0.5): (
+        "0x1.0c5c85fdf473ep+1", "0x1.f3c98cc872c02p+3", "0x1.86f4e6b373bf4p-1",
+        "0x1.00c20adee802ep+0", "0x1.f3c98cc872c02p+3", "0x1.dedb8dac4e566p+6"),
+    (4.0, 0.05): (
+        "0x1.20bb51c3b4942p+3", "0x1.6e3a964ca88ccp+13", "0x1.ff8fa5ba85a0bp-1",
+        "0x1.f89886e853f42p+0", "0x1.6e3a964ca88ccp+13", "0x1.81d6d4b0a2f94p+17"),
+    (0.7, 1e-4): (
+        "0x1.166a01ed4df1fp+2", "0x1.65611c61b1c9bp+6", "0x1.f5195fbcd3be4p-1",
+        "0x1.bff15fcb13498p+0", "0x1.65611c61b1c98p+6", "0x1.5e4da5bb2690fp+5"),
+    (0.0, 1.9): (
+        "0x1.08577471ea8e0p-3", "0x1.4b4de5359e77fp+0", "0x1.3b5febb8533e8p-3",
+        "0x1.999ba3ad26adap-5", "0x1.4b4de5359e77cp+0", "0x1.5cb64017d616ep+5"),
+    (1.5, 1.5): (
+        "0x1.2c19b82680cf5p+0", "0x1.9bc57538a39b6p+6", "0x1.025681fafcf8ep-1",
+        "0x1.ad3e5bad1bd42p-2", "0x1.9bc57538a39b6p+6", "0x1.fa70a6dd07650p+11"),
+}
+
+
+@pytest.mark.parametrize("mean, variance", sorted(QUADRATURE_HEX))
+def test_quadrature_values_are_pinned_bit_for_bit(mean, variance):
+    model = make_gaussian_model(Gaussian1D(mean, variance), STD_NORMAL)
+    values = [
+        quadrature_divergence(model, gen).value
+        for gen in (KULLBACK_LEIBLER, CHI_SQUARED, TOTAL_VARIATION, SQUARED_HELLINGER)
+    ]
+    values += [exact_mse(model, phi, 1) for phi in (Observable.one(), Observable.identity())]
+    assert tuple(map(float.hex, values)) == QUADRATURE_HEX[mean, variance]
+
+
+@pytest.mark.parametrize("mean, variance, expected", [
+    (0.5, 0.8, "0x1.24eb365bb9790p-3"),
+    (2.0, 1.0, "0x1.8ab57fe2d1112p+34"),
+])
+def test_custom_generator_quadrature_is_pinned_bit_for_bit(mean, variance, expected):
+    gen = custom_generator(lambda x: (x - 1.0) ** 4, value_at_zero=1.0)
+    model = make_gaussian_model(Gaussian1D(mean, variance), STD_NORMAL)
+    assert float.hex(quadrature_divergence(model, gen).value) == expected
+
+
 @given(
     mean=st.floats(min_value=0.0, max_value=4.0),
     log_variance=st.floats(min_value=math.log(1e-4), max_value=math.log(25.0)),
