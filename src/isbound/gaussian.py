@@ -13,6 +13,7 @@ as an infinite value rather than an error.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -125,6 +126,12 @@ class GaussianPair:
         shift /= 2.0 * vq
         log_ratio += shift
         return log_ratio
+
+    @functools.cached_property
+    def _quadrature_plan(self) -> "_QuadraturePlan":
+        """The window, first sweep and log densities that every quadrature
+        integral on this pair shares; built on first use."""
+        return _QuadraturePlan(self)
 
     def proposal_sampler(self, n: int, seed: SeedLike) -> np.ndarray:
         q = self.proposal
@@ -278,18 +285,15 @@ def adaptive_integral(fn: Callable[[np.ndarray], np.ndarray], breakpoints) -> fl
     divergent shape of the integrand); a non-negligible but decaying edge
     means the window is too small and raises QuadratureError.
     """
-    pts = np.unique(np.asarray(breakpoints, dtype=float))
-    if pts.size < 2:
-        raise ValueError("need at least two distinct breakpoints")
-
-    lo, hi = pts[:-1], pts[1:]
+    # a pair's quadrature plan comes with its first sweep already built
+    sweep = breakpoints if isinstance(breakpoints, _FirstSweep) else _FirstSweep(breakpoints)
+    lo, hi = sweep.breakpoints[:-1], sweep.breakpoints[1:]
+    half, nodes = sweep.half, sweep.nodes
     total = accepted_err = 0.0
     splits = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        while lo.size:
-            half = 0.5 * (hi - lo)
-            nodes = (lo + half)[:, np.newaxis] + half[:, np.newaxis] * _NODES
-            values = np.reshape(fn(nodes.ravel()), nodes.shape)
+        while True:
+            values = np.reshape(fn(nodes), (half.size, _NODES.size))
             kronrod, gauss = (half[:, np.newaxis] * (values @ _WEIGHTS)).T
             err = np.abs(kronrod - gauss)
             if not math.isfinite(estimate := total + float(kronrod.sum())):
@@ -301,6 +305,8 @@ def adaptive_integral(fn: Callable[[np.ndarray], np.ndarray], breakpoints) -> fl
             total += float(kronrod[ok].sum())
             accepted_err += float(err[ok].sum())
             lo, hi = lo[~ok], hi[~ok]
+            if not lo.size:
+                break
             splits += lo.size
             if splits > _MAX_INTERVALS:
                 raise QuadratureError(
@@ -309,24 +315,52 @@ def adaptive_integral(fn: Callable[[np.ndarray], np.ndarray], breakpoints) -> fl
                 )
             mid = 0.5 * (lo + hi)
             lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+            half, nodes = _panel_nodes(lo, hi)
 
-        if not _edges_certified(fn, float(pts[0]), float(pts[-1]), total):
+        if not _edges_certified(fn, sweep, total):
             return math.inf
     return total
 
 
-def _edges_certified(fn, lo: float, hi: float, total: float) -> bool:
+def _panel_nodes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Half-widths of the panels [lo, hi] and their 15 nodes each, flattened."""
+    half = 0.5 * (hi - lo)
+    return half, ((lo + half)[:, np.newaxis] + half[:, np.newaxis] * _NODES).ravel()
+
+
+class _FirstSweep:
+    """The unique breakpoints of a window, the half-widths and nodes of the
+    first sweep's panels, and the window's four edge probes; all read-only.
+
+    The probes are both edges and a point a thousandth of the width inside
+    each, in the order ``_edges_certified`` reads them.
+    """
+
+    def __init__(self, breakpoints):
+        pts = np.unique(np.asarray(breakpoints, dtype=float))
+        if pts.size < 2:
+            raise ValueError("need at least two distinct breakpoints")
+        half, nodes = _panel_nodes(pts[:-1], pts[1:])
+        lo, hi = float(pts[0]), float(pts[-1])
+        step = 1e-3 * (hi - lo)
+        probes = np.array([lo, lo + step, hi, hi - step])
+        for array in (pts, half, nodes, probes):
+            array.setflags(write=False)
+        self.breakpoints, self.half, self.nodes, self.probes = pts, half, nodes, probes
+
+
+def _edges_certified(fn, sweep: _FirstSweep, total: float) -> bool:
     """Check the integrand is relatively negligible at the window edges.
 
     Returns False (diagnosed divergent) when either edge is non-negligible
     and still growing outward.  Otherwise a non-negligible but decaying edge
     means a finite integral is undercovered and raises QuadratureError.
     """
+    lo, _, hi, _ = sweep.probes.tolist()
     width = hi - lo
-    step = 1e-3 * width
     negligible = max(_ABSOLUTE_TOLERANCE, _RELATIVE_TOLERANCE * abs(total))
     # both edges and a point just inside each, in one integrand call
-    values = np.abs(fn(np.array([lo, lo + step, hi, hi - step])))
+    values = np.abs(fn(sweep.probes))
     if not np.isfinite(values).all():
         return False
     lo_val, lo_inside, hi_val, hi_inside = values.tolist()
@@ -376,6 +410,7 @@ def _integrand_bumps(target: Gaussian1D, proposal: Gaussian1D) -> list[tuple[flo
 
 
 def _window_breakpoints(pair: GaussianPair) -> np.ndarray:
+    """The window's breakpoints, unsorted and possibly repeated."""
     target, proposal = pair.target, pair.proposal
     bumps = _integrand_bumps(target, proposal)
     lo = min(center - _INTEGRATION_WINDOW * scale for center, scale in bumps)
@@ -385,16 +420,45 @@ def _window_breakpoints(pair: GaussianPair) -> np.ndarray:
         pts.append(center + scale * _BUMP_OFFSETS)
         pts.append(center - scale * _BUMP_OFFSETS)
     pts.append(np.asarray(density_crossings(target, proposal), dtype=float))
-    merged = np.concatenate(pts)
-    return np.unique(np.clip(merged, lo, hi))
+    return np.clip(np.concatenate(pts), lo, hi)
+
+
+class _QuadraturePlan(_FirstSweep):
+    """A pair's window and first sweep, with log p, log q and log g at its
+    nodes and probes computed once for every integral on the pair.
+
+    ``log_target``, ``log_proposal`` and ``log_ratio`` return those read-only
+    arrays when given the plan's own node or probe array and evaluate the
+    pair's method on any other points, such as a later sweep's nodes.
+    """
+
+    def __init__(self, pair: GaussianPair):
+        super().__init__(_window_breakpoints(pair))
+        self.log_target = self._shared(pair.target.log_pdf)
+        self.log_proposal = self._shared(pair.proposal.log_pdf)
+        self.log_ratio = self._shared(pair.log_ratio)
+
+    def _shared(self, log_density):
+        nodes, probes = self.nodes, self.probes
+        at_nodes, at_probes = log_density(nodes), log_density(probes)
+        at_nodes.setflags(write=False)
+        at_probes.setflags(write=False)
+
+        def shared(x):
+            if x is nodes:
+                return at_nodes
+            if x is probes:
+                return at_probes
+            return log_density(x)
+
+        return shared
 
 
 def _stable_integrand(
     pair: GaussianPair, f: ConvexGenerator
 ) -> Callable[[np.ndarray], np.ndarray]:
-    lt = pair.target.log_pdf
-    lq = pair.proposal.log_pdf
-    lr = pair.log_ratio
+    plan = pair._quadrature_plan
+    lt, lq, lr = plan.log_target, plan.log_proposal, plan.log_ratio
     kind = f.kind
 
     if kind is DivergenceKind.KULLBACK_LEIBLER:
@@ -434,8 +498,7 @@ def quadrature_divergence(pair: GaussianPair, f: ConvexGenerator) -> DivergenceV
     non-negligible and still growing) and raises QuadratureError when the
     adaptive scheme fails its tolerance.
     """
-    points = _window_breakpoints(pair)
-    total = adaptive_integral(_stable_integrand(pair, f), points)
+    total = adaptive_integral(_stable_integrand(pair, f), pair._quadrature_plan)
     if math.isinf(total):
         return DivergenceValue(math.inf, "quadrature")
     if total < -1e-8:

@@ -30,7 +30,6 @@ from .gaussian import (
     GaussianPair,
     SeedLike,
     WeightOverflowWarning,
-    _window_breakpoints,
     adaptive_integral,
 )
 
@@ -146,10 +145,8 @@ def exact_mse(pair: GaussianPair, phi: Observable, n: int) -> float:
     """
     if n < 1:
         raise ValueError(f"sample size must be at least 1, got {n}")
-    lt = pair.target.log_pdf
-    lr = pair.log_ratio
-    lq = pair.proposal.log_pdf
-    points = _window_breakpoints(pair)
+    plan = pair._quadrature_plan
+    lt, lr, lq = plan.log_target, plan.log_ratio, plan.log_proposal
 
     def first_moment(x):
         return np.exp(lt(x)) * np.asarray(phi.fn(x), dtype=float)
@@ -157,10 +154,10 @@ def exact_mse(pair: GaussianPair, phi: Observable, n: int) -> float:
     def second_moment(x):
         return np.exp(2.0 * lr(x) + lq(x)) * np.asarray(phi.fn(x), dtype=float) ** 2
 
-    m2 = adaptive_integral(second_moment, points)
+    m2 = adaptive_integral(second_moment, plan)
     if math.isinf(m2):
         return math.inf
-    m1 = adaptive_integral(first_moment, points)
+    m1 = adaptive_integral(first_moment, plan)
     return max(m2 - m1 * m1, 0.0) / n
 
 

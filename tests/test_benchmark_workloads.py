@@ -53,3 +53,16 @@ def test_tracer_sees_closed_forms_bounds_and_the_pair_model():
     assert calls["bounds.necessary_sample_size"] == 4
     assert calls["gaussian.proposal_sampler"] == 4
     assert cli._CLOSED_FORMS[DivergenceKind.KULLBACK_LEIBLER] is gaussian.gaussian_kl
+
+
+def test_tracer_sees_every_quadrature_integral():
+    """The pair's integrals reach ``adaptive_integral`` through the module
+    global the tracer wraps, so each one is a span and its integrand counted."""
+    tracer = load_perfbench("tracing").Tracer()
+    argv = ["bounds", "--target-mean", "2", "--method", "quadrature", "--format", "json"]
+    with tracer, contextlib.redirect_stdout(io.StringIO()):
+        tracer.begin_op(0)
+        assert cli.main(argv) == 0
+        tracer.end_op()
+    assert tracer.stats["gaussian.adaptive_integral"].calls == 4
+    assert tracer.counters["gaussian.integrand.evals"] > 0

@@ -39,7 +39,7 @@ from isbound import (
     quadrature_divergence,
     sample_particles,
 )
-from isbound import sampling
+from isbound import gaussian, sampling
 from isbound.cli import main
 from isbound.sampling import _BLOCK_PARTICLES, _pcg64_states, _replicate_rngs
 
@@ -472,12 +472,12 @@ class TestOverflowPolicy:
         assert d.std_error == math.inf
 
 
-def counted_pair():
+def counted_pair(target=Gaussian1D(1.0, 1.0)):
     """A Gaussian pair whose ``log_ratio`` and ``proposal_sampler`` count their calls.
 
     The methods are replaced on the instance, as a profiler wraps them.
     """
-    pair = make_gaussian_model(Gaussian1D(1.0, 1.0), STD_NORMAL)
+    pair = make_gaussian_model(target, STD_NORMAL)
     calls = dict.fromkeys(("log_ratio", "proposal_sampler"), 0)
     for name in calls:
 
@@ -514,6 +514,38 @@ def test_estimators_use_the_instance_methods(call, sampler_calls):
     call(pair)
     assert calls["log_ratio"] >= 1
     assert calls["proposal_sampler"] == sampler_calls
+
+
+def test_integrals_on_one_pair_share_its_quadrature_plan(monkeypatch):
+    windows = []
+
+    def counted_bumps(target, proposal):
+        windows.append((target, proposal))
+        return bumps(target, proposal)
+
+    bumps = gaussian._integrand_bumps
+    monkeypatch.setattr(gaussian, "_integrand_bumps", counted_bumps)
+    pair, calls = counted_pair(Gaussian1D(2.0, 1.0))
+    for gen in BUILTIN_GENERATORS.values():
+        quadrature_divergence(pair, gen)
+    for phi in (Observable.one(), Observable.identity()):
+        exact_mse(pair, phi, 1)
+    # every integral here converges in the first sweep, so log g is computed
+    # on the plan's nodes and probes only
+    assert len(windows) == 1
+    assert calls["log_ratio"] == 2
+
+    other = make_gaussian_model(Gaussian1D(2.0, 1.0), STD_NORMAL)
+    assert other == pair
+    quadrature_divergence(other, KULLBACK_LEIBLER)
+    assert len(windows) == 2
+    assert other._quadrature_plan is not pair._quadrature_plan
+
+    plan = pair._quadrature_plan
+    for array in (plan.breakpoints, plan.nodes, plan.probes, plan.log_ratio(plan.nodes)):
+        assert not array.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        plan.breakpoints[0] = 0.0
 
 
 # uint64 replicate seeds as breakdown runs derive them, plus the word edges
