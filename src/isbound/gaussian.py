@@ -344,9 +344,9 @@ class _FirstSweep:
         lo, hi = float(pts[0]), float(pts[-1])
         step = 1e-3 * (hi - lo)
         probes = np.array([lo, lo + step, hi, hi - step])
-        for array in (pts, half, nodes, probes):
-            array.setflags(write=False)
-        self.breakpoints, self.half, self.nodes, self.probes = pts, half, nodes, probes
+        self.breakpoints, self.half, self.nodes, self.probes = map(
+            _read_only, (pts, half, nodes, probes)
+        )
 
 
 def _edges_certified(fn, sweep: _FirstSweep, total: float) -> bool:
@@ -427,38 +427,52 @@ class _QuadraturePlan(_FirstSweep):
     """A pair's window and first sweep, with log p, log q and log g at its
     nodes and probes computed once for every integral on the pair.
 
-    ``log_target``, ``log_proposal`` and ``log_ratio`` return those read-only
-    arrays when given the plan's own node or probe array and evaluate the
-    pair's method on any other points, such as a later sweep's nodes.
+    The plan holds arrays only, no reference to the pair, so a pair and its
+    plan form no reference cycle.
     """
 
     def __init__(self, pair: GaussianPair):
         super().__init__(_window_breakpoints(pair))
-        self.log_target = self._shared(pair.target.log_pdf)
-        self.log_proposal = self._shared(pair.proposal.log_pdf)
-        self.log_ratio = self._shared(pair.log_ratio)
+        self._computed = [
+            (_read_only(log_density(self.nodes)), _read_only(log_density(self.probes)))
+            for log_density in _log_densities(pair)
+        ]
 
-    def _shared(self, log_density):
+    def log_densities(self, pair: GaussianPair) -> list[Callable[[np.ndarray], np.ndarray]]:
+        """The pair's log p, log q and log g: on the plan's own node and probe
+        arrays they return the plan's read-only values, and elsewhere, such as
+        on a later sweep's nodes, they call the pair's methods."""
         nodes, probes = self.nodes, self.probes
-        at_nodes, at_probes = log_density(nodes), log_density(probes)
-        at_nodes.setflags(write=False)
-        at_probes.setflags(write=False)
 
-        def shared(x):
-            if x is nodes:
-                return at_nodes
-            if x is probes:
-                return at_probes
-            return log_density(x)
+        def shared(log_density, at_nodes, at_probes):
+            def log_density_at(x):
+                if x is nodes:
+                    return at_nodes
+                if x is probes:
+                    return at_probes
+                return log_density(x)
 
-        return shared
+            return log_density_at
+
+        return [
+            shared(log_density, *computed)
+            for log_density, computed in zip(_log_densities(pair), self._computed)
+        ]
+
+
+def _log_densities(pair: GaussianPair) -> tuple[Callable[[np.ndarray], np.ndarray], ...]:
+    return pair.target.log_pdf, pair.proposal.log_pdf, pair.log_ratio
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
 def _stable_integrand(
     pair: GaussianPair, f: ConvexGenerator
 ) -> Callable[[np.ndarray], np.ndarray]:
-    plan = pair._quadrature_plan
-    lt, lq, lr = plan.log_target, plan.log_proposal, plan.log_ratio
+    lt, lq, lr = pair._quadrature_plan.log_densities(pair)
     kind = f.kind
 
     if kind is DivergenceKind.KULLBACK_LEIBLER:

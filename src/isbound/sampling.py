@@ -146,7 +146,7 @@ def exact_mse(pair: GaussianPair, phi: Observable, n: int) -> float:
     if n < 1:
         raise ValueError(f"sample size must be at least 1, got {n}")
     plan = pair._quadrature_plan
-    lt, lr, lq = plan.log_target, plan.log_ratio, plan.log_proposal
+    lt, lq, lr = plan.log_densities(pair)
 
     def first_moment(x):
         return np.exp(lt(x)) * np.asarray(phi.fn(x), dtype=float)

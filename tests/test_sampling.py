@@ -542,7 +542,8 @@ def test_integrals_on_one_pair_share_its_quadrature_plan(monkeypatch):
     assert other._quadrature_plan is not pair._quadrature_plan
 
     plan = pair._quadrature_plan
-    for array in (plan.breakpoints, plan.nodes, plan.probes, plan.log_ratio(plan.nodes)):
+    log_ratio = plan.log_densities(pair)[2]
+    for array in (plan.breakpoints, plan.nodes, plan.probes, log_ratio(plan.nodes)):
         assert not array.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         plan.breakpoints[0] = 0.0
