@@ -84,6 +84,22 @@ class _MetricRules(NamedTuple):
     mse: Callable[[float], float]
 
 
+def _tv_threshold(d: float, eps: float, delta: float) -> float:
+    gap = 1.0 + eps / 2.0 + delta - d
+    if gap <= 0.0:
+        # at d near the cap the sum rounds the tolerances away; regrouped it keeps them
+        gap = (eps / 2.0 + delta) + (1.0 - d)
+    return 1.0 / gap
+
+
+def _hellinger_threshold(d: float, eps: float, delta: float) -> float:
+    gap = 2.0 + eps + delta - d
+    if gap <= 0.0:
+        gap = (eps + delta) + (2.0 - d)
+    square = gap**2
+    return 4.0 * (1.0 + eps) / square if square else math.inf
+
+
 _RULES = {
     DivergenceKind.KULLBACK_LEIBLER: _MetricRules(
         math.inf,
@@ -100,13 +116,13 @@ _RULES = {
     DivergenceKind.TOTAL_VARIATION: _MetricRules(
         1.0,
         lambda n, e: 1.0 - 1.0 / n + e / 2.0,
-        lambda d, eps, delta: 1.0 / (1.0 + eps / 2.0 + delta - d),
+        _tv_threshold,
         lambda d: 4.0 * d * d,
     ),
     DivergenceKind.SQUARED_HELLINGER: _MetricRules(
         2.0,
         lambda n, e: 2.0 * (1.0 - math.sqrt((1.0 + e) / n) + e / 2.0),
-        lambda d, eps, delta: 4.0 * (1.0 + eps) / (2.0 + eps + delta - d) ** 2,
+        _hellinger_threshold,
         lambda d: d,
     ),
 }
@@ -117,6 +133,17 @@ def _rules(kind: DivergenceKind) -> _MetricRules:
         return _RULES[kind]
     except KeyError:
         raise ValueError(f"no closed-form bound for kind {kind!r}") from None
+
+
+def _threshold(kind: DivergenceKind, d: float, budget: ToleranceBudget) -> float:
+    """The metric's threshold at divergence d; a ValueError names the budget
+    when the threshold of a finite divergence is nonpositive or past float range."""
+    threshold = _rules(kind).threshold(d, budget.epsilon, budget.delta)
+    if math.isinf(threshold) and math.isfinite(d):
+        raise ValueError(f"budget {budget} puts the {kind.value} threshold past float range")
+    if not threshold > 0:
+        raise ValueError(f"budget {budget} makes the {kind.value} threshold nonpositive")
+    return threshold
 
 
 def symbolic_divergence_bound(kind: DivergenceKind, n: int, excess_mass: float = 0.0) -> float:
@@ -212,12 +239,7 @@ def necessary_sample_size(
         d = replace(d, value=min(max(d.value, 0.0), rules.cap))
     else:
         _divergence_scalar(d, rules)
-    threshold = rules.threshold(d.value, budget.epsilon, budget.delta)
-    if math.isfinite(threshold) and threshold <= 0:
-        raise ValueError(
-            f"budget {budget} makes the {kind.value} threshold nonpositive"
-        )
-    return SampleSizeReport(kind, d, threshold, budget)
+    return SampleSizeReport(kind, d, _threshold(kind, d.value, budget), budget)
 
 
 def necessary_size_from_generator(
@@ -268,5 +290,4 @@ def max_certifiable_size(kind: DivergenceKind, budget: ToleranceBudget) -> float
     chi-squared divergences can demand arbitrarily large sample sizes.  The
     cap is the threshold at the metric's largest value.
     """
-    rules = _rules(kind)
-    return rules.threshold(rules.cap, budget.epsilon, budget.delta)
+    return _threshold(kind, _rules(kind).cap, budget)

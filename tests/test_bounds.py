@@ -269,6 +269,37 @@ class TestMaxCertifiableSize:
         assert max_certifiable_size(KL, BUDGET) == math.inf
         assert max_certifiable_size(CHI2, BUDGET) == math.inf
 
+    def test_caps_keep_tolerances_below_an_ulp_of_the_cap(self):
+        # 1 + eps/2 + delta - 1 and 2 + eps + delta - 2 round to 0 here
+        tiny = ToleranceBudget(1e-17, 1e-17)
+        assert max_certifiable_size(TV, tiny) == pytest.approx(1.0 / 1.5e-17, rel=1e-15)
+        assert max_certifiable_size(HELL, tiny) == pytest.approx(4.0 / 4e-34, rel=1e-15)
+        assert necessary_sample_size(1.0, TV, tiny).threshold == max_certifiable_size(TV, tiny)
+
+    def test_cap_past_float_range_names_the_budget(self):
+        budget = ToleranceBudget(1e-200, 1e-200)
+        with pytest.raises(ValueError, match=r"epsilon=1e-200.*past float range"):
+            max_certifiable_size(HELL, budget)
+        with pytest.raises(ValueError, match="past float range"):
+            necessary_sample_size(2.0, HELL, budget)
+        assert max_certifiable_size(TV, budget) == pytest.approx(1.0 / 1.5e-200, rel=1e-15)
+
+    @pytest.mark.parametrize("kind", [TV, HELL])
+    def test_thresholds_below_the_cap_keep_their_bits(self, kind):
+        """Wherever the sum in the original order is positive it is still the
+        expression evaluated, so no threshold away from the cap moves."""
+        rng = np.random.default_rng(18)
+        cap = 1.0 if kind is TV else 2.0
+        for _ in range(2000):
+            d = float(rng.uniform(0.0, cap))
+            eps, delta = (float(10.0 ** rng.uniform(-6, 0.5)) for _ in range(2))
+            if kind is TV:
+                expected = 1.0 / (1.0 + eps / 2.0 + delta - d)
+            else:
+                expected = 4.0 * (1.0 + eps) / (2.0 + eps + delta - d) ** 2
+            budget = ToleranceBudget(eps, delta)
+            assert necessary_sample_size(d, kind, budget).threshold == expected
+
     def test_caps_are_thresholds_at_the_metric_extremes(self):
         assert necessary_sample_size(1.0, TV, BUDGET).threshold == pytest.approx(
             max_certifiable_size(TV, BUDGET)

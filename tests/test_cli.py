@@ -216,6 +216,19 @@ class TestMainEntry:
         assert rc == 1
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_threshold_at_the_cap_with_a_tiny_budget(self, capsys):
+        argv = ["bounds", "--target-mean", "40", "--metric", "tv", "--eps", "1e-17",
+                "--delta", "1e-17"]
+        assert main(argv) == 0
+        assert ",tv,1.0,closed_form,,66666666666666664.00," in capsys.readouterr().out
+
+    def test_threshold_past_float_range_exits_one(self, capsys):
+        argv = ["bounds", "--target-mean", "40", "--metric", "hellinger", "--eps", "1e-200",
+                "--delta", "1e-200"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "past float range" in err
+
     def test_seed_env_var_with_flag_override(self, capsys, monkeypatch):
         monkeypatch.setenv("ISBOUND_SEED", "7")
         assert main(["ess", "--target-mean", "1", "--particles", "10"]) == 0
