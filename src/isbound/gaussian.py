@@ -8,7 +8,8 @@ regrouped into log-space-stable terms (for example ``g^2 q`` is evaluated
 as ``exp(2 log g + log q)``) so that the window edges neither overflow nor
 silently underflow; a genuine divergence, such as the chi-squared integral
 for a target variance >= 2, surfaces as integrand overflow and is reported
-as an infinite value rather than an error.
+as an infinite value rather than an error.  Every quadrature integral on one
+pair shares its window, first sweep and log densities, built on first use.
 """
 
 from __future__ import annotations
@@ -285,10 +286,10 @@ def adaptive_integral(fn: Callable[[np.ndarray], np.ndarray], breakpoints) -> fl
     divergent shape of the integrand); a non-negligible but decaying edge
     means the window is too small and raises QuadratureError.
     """
-    # a pair's quadrature plan comes with its first sweep already built
-    sweep = breakpoints if isinstance(breakpoints, _FirstSweep) else _FirstSweep(breakpoints)
-    lo, hi = sweep.breakpoints[:-1], sweep.breakpoints[1:]
-    half, nodes = sweep.half, sweep.nodes
+    # a pair's quadrature plan is a window with its first sweep already built
+    window = breakpoints if isinstance(breakpoints, _Window) else _Window(breakpoints)
+    lo, hi = window.breakpoints[:-1], window.breakpoints[1:]
+    half, nodes = window.half, window.nodes
     total = accepted_err = 0.0
     splits = 0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -317,7 +318,7 @@ def adaptive_integral(fn: Callable[[np.ndarray], np.ndarray], breakpoints) -> fl
             lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
             half, nodes = _panel_nodes(lo, hi)
 
-        if not _edges_certified(fn, sweep, total):
+        if not _edges_certified(fn, window, total):
             return math.inf
     return total
 
@@ -328,9 +329,9 @@ def _panel_nodes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return half, ((lo + half)[:, np.newaxis] + half[:, np.newaxis] * _NODES).ravel()
 
 
-class _FirstSweep:
-    """The unique breakpoints of a window, the half-widths and nodes of the
-    first sweep's panels, and the window's four edge probes; all read-only.
+class _Window:
+    """An integration window: its unique breakpoints, the half-widths and
+    nodes of its first sweep's panels, and its four edge probes; all read-only.
 
     The probes are both edges and a point a thousandth of the width inside
     each, in the order ``_edges_certified`` reads them.
@@ -349,18 +350,18 @@ class _FirstSweep:
         )
 
 
-def _edges_certified(fn, sweep: _FirstSweep, total: float) -> bool:
+def _edges_certified(fn, window: _Window, total: float) -> bool:
     """Check the integrand is relatively negligible at the window edges.
 
     Returns False (diagnosed divergent) when either edge is non-negligible
     and still growing outward.  Otherwise a non-negligible but decaying edge
     means a finite integral is undercovered and raises QuadratureError.
     """
-    lo, _, hi, _ = sweep.probes.tolist()
+    lo, _, hi, _ = window.probes.tolist()
     width = hi - lo
     negligible = max(_ABSOLUTE_TOLERANCE, _RELATIVE_TOLERANCE * abs(total))
     # both edges and a point just inside each, in one integrand call
-    values = np.abs(fn(sweep.probes))
+    values = np.abs(fn(window.probes))
     if not np.isfinite(values).all():
         return False
     lo_val, lo_inside, hi_val, hi_inside = values.tolist()
@@ -423,7 +424,7 @@ def _window_breakpoints(pair: GaussianPair) -> np.ndarray:
     return np.clip(np.concatenate(pts), lo, hi)
 
 
-class _QuadraturePlan(_FirstSweep):
+class _QuadraturePlan(_Window):
     """A pair's window and first sweep, with log p, log q and log g at its
     nodes and probes computed once for every integral on the pair.
 
