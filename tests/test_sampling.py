@@ -518,14 +518,15 @@ def test_estimators_use_the_instance_methods(call, sampler_calls):
 
 def test_integrals_on_one_pair_share_its_quadrature_plan(monkeypatch):
     windows = []
+    bumps = gaussian._integrand_bumps
 
     def counted_bumps(target, proposal):
         windows.append((target, proposal))
         return bumps(target, proposal)
 
-    bumps = gaussian._integrand_bumps
     monkeypatch.setattr(gaussian, "_integrand_bumps", counted_bumps)
     pair, calls = counted_pair(Gaussian1D(2.0, 1.0))
+    assert not windows  # the plan is built on first use, not with the pair
     for gen in BUILTIN_GENERATORS.values():
         quadrature_divergence(pair, gen)
     for phi in (Observable.one(), Observable.identity()):
