@@ -1,117 +1,11 @@
 """f-divergences, necessary-sample-size bounds, and importance-sampling diagnostics."""
 
-from .bounds import (
-    SampleSizeReport,
-    ToleranceBudget,
-    divergence_bound,
-    max_certifiable_size,
-    mse_minimum_size,
-    necessary_condition_holds,
-    necessary_sample_size,
-    necessary_size_from_generator,
-    symbolic_divergence_bound,
-)
-from .divergences import (
-    BUILTIN_GENERATORS,
-    CHI_SQUARED,
-    KULLBACK_LEIBLER,
-    SQUARED_HELLINGER,
-    TOTAL_VARIATION,
-    ConvexGenerator,
-    DivergenceKind,
-    DivergenceValue,
-    InequalityReport,
-    MassVector,
-    ProbabilityVector,
-    check_divergence_inequalities,
-    custom_generator,
-    discrete_divergence,
-    divergence_vs_uniform,
-    generator_eval,
-)
-from .gaussian import (
-    Gaussian1D,
-    GaussianPair,
-    QuadratureError,
-    WeightOverflowWarning,
-    adaptive_integral,
-    density_crossings,
-    gaussian_chi_squared,
-    gaussian_kl,
-    gaussian_squared_hellinger,
-    gaussian_total_variation,
-    make_gaussian_model,
-    monte_carlo_divergence,
-    quadrature_divergence,
-    ratio_moment_is_finite,
-)
-from .sampling import (
-    BreakdownReport,
-    Observable,
-    TrialOutcome,
-    WeightedEmpiricalMeasure,
-    breakdown_probability,
-    breakdown_trial,
-    ess_chi2,
-    ess_kl,
-    estimate,
-    exact_mse,
-    normalized_weights,
-    sample_particles,
-)
+from . import bounds, divergences, gaussian, sampling
+from .bounds import *
+from .divergences import *
+from .gaussian import *
+from .sampling import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BUILTIN_GENERATORS",
-    "BreakdownReport",
-    "CHI_SQUARED",
-    "ConvexGenerator",
-    "DivergenceKind",
-    "DivergenceValue",
-    "Gaussian1D",
-    "GaussianPair",
-    "InequalityReport",
-    "KULLBACK_LEIBLER",
-    "MassVector",
-    "Observable",
-    "ProbabilityVector",
-    "QuadratureError",
-    "SQUARED_HELLINGER",
-    "SampleSizeReport",
-    "TOTAL_VARIATION",
-    "ToleranceBudget",
-    "TrialOutcome",
-    "WeightOverflowWarning",
-    "WeightedEmpiricalMeasure",
-    "adaptive_integral",
-    "breakdown_probability",
-    "breakdown_trial",
-    "check_divergence_inequalities",
-    "custom_generator",
-    "density_crossings",
-    "discrete_divergence",
-    "divergence_bound",
-    "divergence_vs_uniform",
-    "ess_chi2",
-    "ess_kl",
-    "estimate",
-    "exact_mse",
-    "gaussian_chi_squared",
-    "gaussian_kl",
-    "gaussian_squared_hellinger",
-    "gaussian_total_variation",
-    "generator_eval",
-    "make_gaussian_model",
-    "max_certifiable_size",
-    "monte_carlo_divergence",
-    "mse_minimum_size",
-    "necessary_condition_holds",
-    "necessary_sample_size",
-    "necessary_size_from_generator",
-    "normalized_weights",
-    "quadrature_divergence",
-    "ratio_moment_is_finite",
-    "sample_particles",
-    "symbolic_divergence_bound",
-]
+__all__ = sorted({*bounds.__all__, *divergences.__all__, *gaussian.__all__, *sampling.__all__})

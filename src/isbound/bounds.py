@@ -187,10 +187,15 @@ def necessary_condition_holds(
 
 
 def _guarded_ceil(x: float):
-    """Ceiling with protection against one-ulp float dust at integer values."""
+    """Ceiling that ignores float dust of up to 4 ulps, and under 1/2, above an integer.
+
+    From 2**52 on every float is an integer, and x is its own ceiling.
+    """
     if math.isinf(x):
         return math.inf
-    return max(int(math.ceil(x - 1e-12 * max(1.0, abs(x)))), 1)
+    if x >= 2.0**52:
+        return int(x)
+    return max(math.ceil(x - min(4.0 * math.ulp(x), 0.5)), 1)
 
 
 @dataclass(frozen=True)

@@ -308,12 +308,13 @@ def run_ess(
     """Sample one particle set and report both effective-sample-size diagnostics."""
     pair = make_gaussian_model(target, proposal)
     measure = sample_particles(pair, n_particles, seed)
-    w_hat = normalized_weights(measure)
+    total_mass, w_hat = measure.total_mass(), normalized_weights(measure)
+    del measure  # the particles and weights are freed before the ESS sums run
     return {
         "n_particles": n_particles,
         "ess_kl": ess_kl(w_hat),
         "ess_chi2": ess_chi2(w_hat),
-        "total_mass": measure.total_mass(),
+        "total_mass": total_mass,
         "seed": seed,
     }
 

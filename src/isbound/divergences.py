@@ -178,6 +178,28 @@ def _as_array(entries: VectorLike) -> np.ndarray:
     return arr
 
 
+def _frozen(values, vector: str | None = None) -> np.ndarray:
+    """``values`` as a read-only float array, copied only if another holder can write to it.
+
+    An input that is writeable, or that does not own its data, is copied
+    once; a read-only array that owns its data is taken as is.  With
+    ``vector`` naming a weight vector, the entries must also be a nonempty
+    one-dimensional vector of finite nonnegative floats.
+    """
+    arr = _as_array(values) if vector else np.asarray(values, dtype=float)
+    if arr.flags.writeable or not arr.flags.owndata:
+        arr = arr.copy()
+        arr.setflags(write=False)
+    if vector:
+        if arr.size == 0:
+            raise ValueError(f"{vector} must be nonempty")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{vector} entries must be finite")
+        if np.any(arr < 0):
+            raise ValueError(f"{vector} entries must be nonnegative")
+    return arr
+
+
 @dataclass(frozen=True)
 class ProbabilityVector:
     """Nonnegative entries summing to one (within 1e-12)."""
@@ -185,17 +207,10 @@ class ProbabilityVector:
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(_as_array(self.entries), dtype=float, copy=True)
-        if arr.size == 0:
-            raise ValueError("probability vector must be nonempty")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("probability vector entries must be finite")
-        if np.any(arr < 0):
-            raise ValueError("probability vector entries must be nonnegative")
+        arr = _frozen(self.entries, "probability vector")
         total = float(arr.sum())
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"probability vector must sum to one, got {total!r}")
-        arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
     def __len__(self) -> int:
@@ -219,15 +234,7 @@ class MassVector:
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(_as_array(self.entries), dtype=float, copy=True)
-        if arr.size == 0:
-            raise ValueError("mass vector must be nonempty")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("mass vector entries must be finite")
-        if np.any(arr < 0):
-            raise ValueError("mass vector entries must be nonnegative")
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
+        object.__setattr__(self, "entries", _frozen(self.entries, "mass vector"))
 
     def __len__(self) -> int:
         return int(self.entries.size)

@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .bounds import ToleranceBudget
-from .divergences import ConvexGenerator, ProbabilityVector, _generator_values
+from .divergences import ConvexGenerator, ProbabilityVector, _frozen, _generator_values
 from .gaussian import (
     GaussianPair,
     SeedLike,
@@ -74,8 +74,7 @@ class WeightedEmpiricalMeasure:
     seed: int
 
     def __post_init__(self):
-        particles = np.array(self.particles, dtype=float, copy=True)
-        weights = np.array(self.weights, dtype=float, copy=True)
+        particles, weights = _frozen(self.particles), _frozen(self.weights)
         if particles.ndim != 1 or weights.ndim != 1:
             raise ValueError("particles and weights must be one-dimensional")
         if particles.size != weights.size:
@@ -86,8 +85,6 @@ class WeightedEmpiricalMeasure:
             raise ValueError("a weighted empirical measure needs at least one particle")
         if np.any(np.isnan(weights)) or np.any(weights < 0):
             raise ValueError("weights must be nonnegative")
-        particles.setflags(write=False)
-        weights.setflags(write=False)
         object.__setattr__(self, "particles", particles)
         object.__setattr__(self, "weights", weights)
 
@@ -119,8 +116,10 @@ def sample_particles(pair: GaussianPair, n: int, seed: int) -> WeightedEmpirical
             WeightOverflowWarning,
             stacklevel=2,
         )
-    del log_ratio  # freed before the measure copies the arrays
     ratios /= n
+    # both arrays are fresh: frozen here, the measure takes them without a copy
+    draws.setflags(write=False)
+    ratios.setflags(write=False)
     return WeightedEmpiricalMeasure(draws, ratios, int(seed))
 
 
@@ -168,7 +167,9 @@ def normalized_weights(measure: WeightedEmpiricalMeasure) -> ProbabilityVector:
         raise ValueError("cannot normalize weights with non-finite total mass")
     if total <= 0:
         raise ValueError("cannot normalize all-zero weights")
-    return ProbabilityVector(measure.weights / total)
+    entries = measure.weights / total
+    entries.setflags(write=False)
+    return ProbabilityVector(entries)
 
 
 def ess_chi2(w_hat: ProbabilityVector) -> float:

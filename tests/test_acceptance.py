@@ -213,7 +213,7 @@ def test_criterion_10_breakdown_experiment():
     7.9, seventy-nine times the allowed delta.  Heavy-tail truncation makes
     it worse: the typical estimate is near 3.1 because the draws beyond the
     largest of 25000 samples carry over a quarter of the expectation, so
-    the condition fails for almost every seed (observed frequency ~0.95).
+    the condition fails for almost every seed (observed frequency 0.967).
     Concentration to within 0.1 would need on the order of 1.5e8 samples.
     """
     model = make_gaussian_model(Gaussian1D(3, 1), STD_NORMAL)

@@ -13,6 +13,7 @@ from isbound import (
     TOTAL_VARIATION,
     DivergenceKind,
     DivergenceValue,
+    SampleSizeReport,
     ToleranceBudget,
     divergence_bound,
     max_certifiable_size,
@@ -275,6 +276,15 @@ class TestMaxCertifiableSize:
         assert max_certifiable_size(TV, tiny) == pytest.approx(1.0 / 1.5e-17, rel=1e-15)
         assert max_certifiable_size(HELL, tiny) == pytest.approx(4.0 / 4e-34, rel=1e-15)
         assert necessary_sample_size(1.0, TV, tiny).threshold == max_certifiable_size(TV, tiny)
+
+    def test_necessary_size_keeps_huge_thresholds(self):
+        # 6.67e16 is an integer float; only dust of a few ulps may be rounded away
+        report = necessary_sample_size(1.0, TV, ToleranceBudget(1e-17, 1e-17))
+        assert report.necessary_size >= report.threshold - 4 * math.ulp(report.threshold)
+        # where 4 ulps reach 1, an integer threshold is still its own ceiling
+        for k in (2**50 + 1, 2**51 + 3, 2**52 + 1):
+            report = SampleSizeReport(TV, DivergenceValue(0.5, "closed_form"), float(k), BUDGET)
+            assert report.necessary_size == k
 
     def test_cap_past_float_range_names_the_budget(self):
         budget = ToleranceBudget(1e-200, 1e-200)

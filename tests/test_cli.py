@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from isbound import DivergenceKind, Gaussian1D
+from isbound import DivergenceKind, Gaussian1D, cli
 from isbound.cli import (
     ConfigError,
     build_parser,
@@ -73,6 +73,19 @@ class TestTable3:
                     "sigma2=25": 2.12}
         for label, value in expected.items():
             assert cells[(label, HELL)].report.threshold == pytest.approx(value, abs=0.01)
+
+    def test_mc_reports_an_infinite_chi2_without_sampling(self, capsys, monkeypatch):
+        sample = cli.monte_carlo_divergence
+
+        def no_infinite_chi2(pair, f, n, seed):
+            assert not (f.kind is CHI2 and pair.target.variance >= 2), "sampled an infinite chi2"
+            return sample(pair, f, n, seed)
+
+        monkeypatch.setattr(cli, "monte_carlo_divergence", no_infinite_chi2)
+        assert main(["table3", "--method", "mc", "--mc-samples", "100"]) == 0
+        out = capsys.readouterr().out
+        for label in ("sigma2=16", "sigma2=25"):
+            assert f"\n{label},chi2,---,closed_form,,---,---,---," in out
 
     def test_heavy_chi2_rows_render_as_dashes(self):
         records = run_table3()

@@ -111,6 +111,24 @@ class TestVectorTypes:
         with pytest.raises(ValueError):
             pv.entries[0] = 0.5
 
+    @pytest.mark.parametrize("vector_type", [ProbabilityVector, MassVector])
+    def test_entries_are_copied_only_when_another_holder_can_write(self, vector_type):
+        source = np.array([0.25, 0.75])
+        vector = vector_type(source)
+        source[0] = 0.5
+        assert vector.entries.tolist() == [0.25, 0.75]
+
+        base = np.array([0.25, 0.75, 0.5])
+        view = base[:2]
+        view.setflags(write=False)
+        vector = vector_type(view)
+        base[0] = 0.5
+        assert vector.entries.tolist() == [0.25, 0.75]
+
+        frozen = np.array([0.25, 0.75])
+        frozen.setflags(write=False)
+        assert vector_type(frozen).entries is frozen
+
     def test_divergence_value_contract(self):
         DivergenceValue(0.0, "closed_form")
         DivergenceValue(math.inf, "quadrature")
