@@ -92,12 +92,20 @@ def _tv_threshold(d: float, eps: float, delta: float) -> float:
     return 1.0 / gap
 
 
+def _over_square(x: float, y: float) -> float:
+    """x / y**2; x / y / y where y**2 is past float range, +inf where it is 0."""
+    try:
+        square = y**2
+    except OverflowError:
+        return x / y / y
+    return x / square if square else math.inf
+
+
 def _hellinger_threshold(d: float, eps: float, delta: float) -> float:
     gap = 2.0 + eps + delta - d
     if gap <= 0.0:
         gap = (eps + delta) + (2.0 - d)
-    square = gap**2
-    return 4.0 * (1.0 + eps) / square if square else math.inf
+    return _over_square(4.0 * (1.0 + eps), gap)
 
 
 _RULES = {
@@ -110,7 +118,7 @@ _RULES = {
     DivergenceKind.CHI_SQUARED: _MetricRules(
         math.inf,
         lambda n, e: n * (1.0 + e) ** 2 - (1.0 + 2.0 * e),
-        lambda d, eps, delta: (1.0 + 2.0 * eps + d - delta) / (1.0 + eps) ** 2,
+        lambda d, eps, delta: _over_square(1.0 + 2.0 * eps + d - delta, 1.0 + eps),
         lambda d: d,
     ),
     DivergenceKind.TOTAL_VARIATION: _MetricRules(
@@ -137,8 +145,12 @@ def _rules(kind: DivergenceKind) -> _MetricRules:
 
 def _threshold(kind: DivergenceKind, d: float, budget: ToleranceBudget) -> float:
     """The metric's threshold at divergence d; a ValueError names the budget
-    when the threshold of a finite divergence is nonpositive or past float range."""
-    threshold = _rules(kind).threshold(d, budget.epsilon, budget.delta)
+    when the threshold of a finite divergence is nonpositive or past float range,
+    where a rule's OverflowError means past float range."""
+    try:
+        threshold = _rules(kind).threshold(d, budget.epsilon, budget.delta)
+    except OverflowError:
+        threshold = math.inf
     if math.isinf(threshold) and math.isfinite(d):
         raise ValueError(f"budget {budget} puts the {kind.value} threshold past float range")
     if not threshold > 0:

@@ -10,6 +10,8 @@ silently underflow; a genuine divergence, such as the chi-squared integral
 for a target variance >= 2, surfaces as integrand overflow and is reported
 as an infinite value rather than an error.  Every quadrature integral on one
 pair shares its window, first sweep and log densities, built on first use.
+Each integrand is a function ``terms(x, log p, log q, log g)`` of arrays,
+evaluated through the pair's plan.
 """
 
 from __future__ import annotations
@@ -97,8 +99,9 @@ class Gaussian1D:
 class GaussianPair:
     """A Gaussian target p and proposal q, and their density ratio g = dp/dq.
 
-    Built by ``make_gaussian_model``.  ``ratios`` applies the one overflow
-    policy that every estimator shares: a log ratio above 700 gives g = +inf.
+    Built by ``make_gaussian_model``.  ``ratios`` exponentiates through
+    ``_exp_ratios``, the one overflow step that every estimator and the
+    custom-generator quadrature share: a log ratio above 700 gives g = +inf.
     ``proposal_sampler(n, seed)`` passes its seed to ``np.random.default_rng``,
     so the seed may be an int, a ``SeedSequence`` or an already-seeded
     ``np.random.Generator``, which is used as is.
@@ -144,18 +147,23 @@ class GaussianPair:
         ``log_ratio`` sees the draws flattened to one dimension.
         """
         log_ratio = np.reshape(self.log_ratio(draws.ravel()), draws.shape)
-        if log_ratio.min(initial=math.inf) >= _EXP_UNDERFLOW:
-            with np.errstate(over="ignore"):
-                ratios = np.exp(log_ratio)
-        else:
-            ratios = np.zeros_like(log_ratio)
-            kept = np.flatnonzero(~(log_ratio < _EXP_UNDERFLOW))  # NaN is kept
-            taken = log_ratio.take(kept)
-            with np.errstate(over="ignore"):
-                np.put(ratios, kept, np.exp(taken, out=taken))
-        if not log_ratio.max(initial=-math.inf) <= _EXP_OVERFLOW:
-            ratios[log_ratio > _EXP_OVERFLOW] = np.inf
-        return log_ratio, ratios
+        return log_ratio, _exp_ratios(log_ratio)
+
+
+def _exp_ratios(log_ratio: np.ndarray) -> np.ndarray:
+    """The ratios g = exp(log g) in a new array; log g > 700 gives g = +inf."""
+    if log_ratio.min(initial=math.inf) >= _EXP_UNDERFLOW:
+        with np.errstate(over="ignore"):
+            ratios = np.exp(log_ratio)
+    else:
+        ratios = np.zeros_like(log_ratio)
+        kept = np.flatnonzero(~(log_ratio < _EXP_UNDERFLOW))  # NaN is kept
+        taken = log_ratio.take(kept)
+        with np.errstate(over="ignore"):
+            np.put(ratios, kept, np.exp(taken, out=taken))
+    if not log_ratio.max(initial=-math.inf) <= _EXP_OVERFLOW:
+        ratios[log_ratio > _EXP_OVERFLOW] = np.inf
+    return ratios
 
 
 def make_gaussian_model(target: Gaussian1D, proposal: Gaussian1D) -> GaussianPair:
@@ -434,31 +442,27 @@ class _QuadraturePlan(_Window):
 
     def __init__(self, pair: GaussianPair):
         super().__init__(_window_breakpoints(pair))
-        self._computed = [
-            (_read_only(log_density(self.nodes)), _read_only(log_density(self.probes)))
-            for log_density in _log_densities(pair)
-        ]
+        self._at_nodes, self._at_probes = (
+            tuple(_read_only(log_density(x)) for log_density in _log_densities(pair))
+            for x in (self.nodes, self.probes)
+        )
 
-    def log_densities(self, pair: GaussianPair) -> list[Callable[[np.ndarray], np.ndarray]]:
-        """The pair's log p, log q and log g: on the plan's own node and probe
-        arrays they return the plan's read-only values, and elsewhere, such as
-        on a later sweep's nodes, they call the pair's methods."""
-        nodes, probes = self.nodes, self.probes
+    def integral(self, pair: GaussianPair, terms: Callable[..., np.ndarray]) -> float:
+        """``adaptive_integral`` over the plan of terms(x, log p, log q, log g).
 
-        def shared(log_density, at_nodes, at_probes):
-            def log_density_at(x):
-                if x is nodes:
-                    return at_nodes
-                if x is probes:
-                    return at_probes
-                return log_density(x)
+        On the plan's own nodes and probes the log densities are its
+        read-only arrays; elsewhere, such as on a later sweep's nodes, each of
+        the three is computed once.
+        """
 
-            return log_density_at
+        def integrand(x):
+            if x is self.nodes:
+                return terms(x, *self._at_nodes)
+            if x is self.probes:
+                return terms(x, *self._at_probes)
+            return terms(x, *(log_density(x) for log_density in _log_densities(pair)))
 
-        return [
-            shared(log_density, *computed)
-            for log_density, computed in zip(_log_densities(pair), self._computed)
-        ]
+        return adaptive_integral(integrand, self)
 
 
 def _log_densities(pair: GaussianPair) -> tuple[Callable[[np.ndarray], np.ndarray], ...]:
@@ -470,39 +474,27 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _stable_integrand(
-    pair: GaussianPair, f: ConvexGenerator
-) -> Callable[[np.ndarray], np.ndarray]:
-    lt, lq, lr = pair._quadrature_plan.log_densities(pair)
-    kind = f.kind
+# the built-in integrands f(g) q, regrouped into log-space-stable terms
+_BUILTIN_TERMS = {
+    # g log(g) q == p log(g)
+    DivergenceKind.KULLBACK_LEIBLER: lambda x, lp, lq, lg: np.exp(lp) * lg,
+    # (g - 1)^2 q == g^2 q - 2 p + q
+    DivergenceKind.CHI_SQUARED: (
+        lambda x, lp, lq, lg: np.exp(2.0 * lg + lq) - 2.0 * np.exp(lp) + np.exp(lq)
+    ),
+    DivergenceKind.TOTAL_VARIATION: lambda x, lp, lq, lg: 0.5 * np.abs(np.exp(lp) - np.exp(lq)),
+    # (sqrt(g) - 1)^2 q == p - 2 sqrt(p q) + q
+    DivergenceKind.SQUARED_HELLINGER: (
+        lambda x, lp, lq, lg: np.exp(lp) - 2.0 * np.exp(0.5 * lg + lq) + np.exp(lq)
+    ),
+}
 
-    if kind is DivergenceKind.KULLBACK_LEIBLER:
-        # g log(g) q == p log(g)
-        def integrand(x):
-            return np.exp(lt(x)) * lr(x)
 
-    elif kind is DivergenceKind.CHI_SQUARED:
-        # (g - 1)^2 q == g^2 q - 2 p + q
-        def integrand(x):
-            return np.exp(2.0 * lr(x) + lq(x)) - 2.0 * np.exp(lt(x)) + np.exp(lq(x))
-
-    elif kind is DivergenceKind.TOTAL_VARIATION:
-        def integrand(x):
-            return 0.5 * np.abs(np.exp(lt(x)) - np.exp(lq(x)))
-
-    elif kind is DivergenceKind.SQUARED_HELLINGER:
-        # (sqrt(g) - 1)^2 q == p - 2 sqrt(p q) + q
-        def integrand(x):
-            return np.exp(lt(x)) - 2.0 * np.exp(0.5 * lr(x) + lq(x)) + np.exp(lq(x))
-
-    else:
-        # custom generators evaluate f(g) q directly; an overflowed ratio is a
-        # diagnosed-infinite integrand value, also where q underflows to 0
-        def integrand(x):
-            values = _generator_values(f, pair.ratios(x)[1])
-            return np.multiply(values, np.exp(lq(x)), out=values, where=np.isfinite(values))
-
-    return integrand
+def _generator_terms(f: ConvexGenerator, x, lp, lq, lg) -> np.ndarray:
+    """f(g) q evaluated directly, for custom generators; an overflowed ratio
+    is a diagnosed-infinite integrand value, also where q underflows to 0."""
+    values = _generator_values(f, _exp_ratios(lg))
+    return np.multiply(values, np.exp(lq), out=values, where=np.isfinite(values))
 
 
 def quadrature_divergence(pair: GaussianPair, f: ConvexGenerator) -> DivergenceValue:
@@ -513,12 +505,25 @@ def quadrature_divergence(pair: GaussianPair, f: ConvexGenerator) -> DivergenceV
     non-negligible and still growing) and raises QuadratureError when the
     adaptive scheme fails its tolerance.
     """
-    total = adaptive_integral(_stable_integrand(pair, f), pair._quadrature_plan)
+    terms = _BUILTIN_TERMS.get(f.kind) or functools.partial(_generator_terms, f)
+    total = pair._quadrature_plan.integral(pair, terms)
     if math.isinf(total):
         return DivergenceValue(math.inf, "quadrature")
     if total < -1e-8:
         raise QuadratureError(f"integral of a nonnegative divergence came out {total!r}")
     return DivergenceValue(max(total, 0.0), "quadrature")
+
+
+def _weighted_variance(pair: GaussianPair, fn: Callable[[np.ndarray], np.ndarray]) -> float:
+    """Var_q(g phi) by quadrature for phi = fn; +inf when E_q[(g phi)^2] diverges."""
+    plan = pair._quadrature_plan
+    m2 = plan.integral(
+        pair, lambda x, lp, lq, lg: np.exp(2.0 * lg + lq) * np.asarray(fn(x), dtype=float) ** 2
+    )
+    if math.isinf(m2):
+        return math.inf
+    m1 = plan.integral(pair, lambda x, lp, lq, lg: np.exp(lp) * np.asarray(fn(x), dtype=float))
+    return max(m2 - m1 * m1, 0.0)
 
 
 _MC_CHUNK = 1_000_000

@@ -26,12 +26,7 @@ import numpy as np
 
 from .bounds import ToleranceBudget
 from .divergences import ConvexGenerator, ProbabilityVector, _frozen, _generator_values
-from .gaussian import (
-    GaussianPair,
-    SeedLike,
-    WeightOverflowWarning,
-    adaptive_integral,
-)
+from .gaussian import GaussianPair, SeedLike, WeightOverflowWarning, _weighted_variance
 
 __all__ = [
     "WeightedEmpiricalMeasure",
@@ -144,20 +139,7 @@ def exact_mse(pair: GaussianPair, phi: Observable, n: int) -> float:
     """
     if n < 1:
         raise ValueError(f"sample size must be at least 1, got {n}")
-    plan = pair._quadrature_plan
-    lt, lq, lr = plan.log_densities(pair)
-
-    def first_moment(x):
-        return np.exp(lt(x)) * np.asarray(phi.fn(x), dtype=float)
-
-    def second_moment(x):
-        return np.exp(2.0 * lr(x) + lq(x)) * np.asarray(phi.fn(x), dtype=float) ** 2
-
-    m2 = adaptive_integral(second_moment, plan)
-    if math.isinf(m2):
-        return math.inf
-    m1 = adaptive_integral(first_moment, plan)
-    return max(m2 - m1 * m1, 0.0) / n
+    return _weighted_variance(pair, phi.fn) / n
 
 
 def normalized_weights(measure: WeightedEmpiricalMeasure) -> ProbabilityVector:

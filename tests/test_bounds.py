@@ -293,6 +293,15 @@ class TestMaxCertifiableSize:
         with pytest.raises(ValueError, match="past float range"):
             necessary_sample_size(2.0, HELL, budget)
         assert max_certifiable_size(TV, budget) == pytest.approx(1.0 / 1.5e-200, rel=1e-15)
+        # exp((800 - 0.1) / 1.1) / 1.1 overflows a float
+        with pytest.raises(ValueError, match=r"epsilon=0\.1.*kl threshold past float range"):
+            necessary_sample_size(800.0, KL, BUDGET)
+
+    def test_thresholds_under_a_huge_epsilon_are_representable(self):
+        # (1 + eps)^2 and the Hellinger gap squared overflow; the thresholds do not
+        huge = ToleranceBudget(1e200, 0.1)
+        assert necessary_sample_size(1.0, CHI2, huge).threshold == 2e-200
+        assert max_certifiable_size(HELL, huge) == 4e-200
 
     @pytest.mark.parametrize("kind", [TV, HELL])
     def test_thresholds_below_the_cap_keep_their_bits(self, kind):

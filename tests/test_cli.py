@@ -236,11 +236,11 @@ class TestMainEntry:
         assert ",tv,1.0,closed_form,,66666666666666664.00," in capsys.readouterr().out
 
     def test_threshold_past_float_range_exits_one(self, capsys):
-        argv = ["bounds", "--target-mean", "40", "--metric", "hellinger", "--eps", "1e-200",
-                "--delta", "1e-200"]
-        assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert "numerical failure" in err and "past float range" in err
+        # a squared Hellinger gap of 4e-400, and a KL of 800 under eps = delta = 0.1
+        for flags in (["hellinger", "--eps", "1e-200", "--delta", "1e-200"], ["kl"]):
+            assert main(["bounds", "--target-mean", "40", "--metric", *flags]) == 1
+            err = capsys.readouterr().err
+            assert "numerical failure" in err and "past float range" in err
 
     def test_seed_env_var_with_flag_override(self, capsys, monkeypatch):
         monkeypatch.setenv("ISBOUND_SEED", "7")

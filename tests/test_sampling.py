@@ -535,6 +535,10 @@ def test_integrals_on_one_pair_share_its_quadrature_plan(monkeypatch):
     # on the plan's nodes and probes only
     assert len(windows) == 1
     assert calls["log_ratio"] == 2
+    # custom generators read the plan's log g too
+    for gen in (custom_generator(CHI_SQUARED.fn, CHI_SQUARED.value_at_zero), QUARTIC):
+        quadrature_divergence(pair, gen)
+    assert calls["log_ratio"] == 2
 
     other = make_gaussian_model(Gaussian1D(2.0, 1.0), STD_NORMAL)
     assert other == pair
@@ -543,8 +547,15 @@ def test_integrals_on_one_pair_share_its_quadrature_plan(monkeypatch):
     assert other._quadrature_plan is not pair._quadrature_plan
 
     plan = pair._quadrature_plan
-    log_ratio = plan.log_densities(pair)[2]
-    for array in (plan.breakpoints, plan.nodes, plan.probes, log_ratio(plan.nodes)):
+    shared_log_ratios = []
+
+    def record_log_ratio(x, log_p, log_q, log_ratio):
+        shared_log_ratios.append(log_ratio)
+        return np.zeros_like(x)
+
+    assert plan.integral(pair, record_log_ratio) == 0.0
+    assert len(shared_log_ratios) == 2  # on the plan's nodes, then its probes
+    for array in (plan.breakpoints, plan.nodes, plan.probes, *shared_log_ratios):
         assert not array.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         plan.breakpoints[0] = 0.0
