@@ -276,7 +276,8 @@ def necessary_size_from_generator(
         raise ValueError(f"divergence must be nonnegative, got {value!r}")
     if math.isinf(value):
         raise ValueError("no finite sample size reaches an infinite divergence")
-    tol = 1e-12 * max(1.0, value)
+    # float dust of up to 4 ulps of d, as _guarded_ceil forgives
+    tol = 4.0 * math.ulp(value)
 
     def satisfied(n: int) -> bool:
         return divergence_bound(n, f, budget.epsilon) + budget.delta >= value - tol

@@ -52,8 +52,8 @@ _EXP_OVERFLOW = 700.0
 _EXP_UNDERFLOW = -750.0
 
 # a proposal sampler's seed; samplers pass it to np.random.default_rng, which
-# returns an already-seeded Generator unchanged
-SeedLike = Union[int, np.random.SeedSequence, np.random.Generator]
+# seeds PCG64 from an int or any ISeedSequence and returns a Generator unchanged
+SeedLike = Union[int, np.random.bit_generator.ISeedSequence, np.random.Generator]
 
 
 class QuadratureError(RuntimeError):
@@ -103,8 +103,8 @@ class GaussianPair:
     ``_exp_ratios``, the one overflow step that every estimator and the
     custom-generator quadrature share: a log ratio above 700 gives g = +inf.
     ``proposal_sampler(n, seed)`` passes its seed to ``np.random.default_rng``,
-    so the seed may be an int, a ``SeedSequence`` or an already-seeded
-    ``np.random.Generator``, which is used as is.
+    so the seed may be an int, any ``ISeedSequence`` such as a ``SeedSequence``,
+    or an already-seeded ``np.random.Generator``, which is used as is.
     """
 
     target: Gaussian1D

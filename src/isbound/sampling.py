@@ -9,8 +9,9 @@ experiment measures.
 Replicated experiments derive one integer seed per replicate from the
 master seed through ``numpy.random.SeedSequence``, so results do not depend
 on scheduling and are reproducible from the master seed alone.  Breakdown
-replicates compute the generator states of all their seeds in one pass and
-draw through one reused generator, exactly as ``default_rng(seed)`` would.
+replicates compute numpy's SeedSequence words of all their seeds in one
+pass; each seed's words then seed its own ``default_rng``, which draws
+exactly what ``default_rng(seed)`` would.
 """
 
 from __future__ import annotations
@@ -209,9 +210,6 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
-# PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128)
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK_128 = (1 << 128) - 1
 
 
 def _hash_steps(init: int, mult: int, count: int) -> list[tuple[np.uint32, np.uint32]]:
@@ -232,11 +230,11 @@ def _hashmix(lanes: np.ndarray, step: tuple[np.uint32, np.uint32]) -> np.ndarray
     return lanes ^ (lanes >> np.uint32(16))
 
 
-def _seed_sequence_words(seeds: Iterable[int]) -> list[np.ndarray]:
+def _seed_sequence_words(seeds: Iterable[int]) -> np.ndarray:
     """``SeedSequence(seed).generate_state(4, np.uint64)`` of every uint64 seed.
 
-    Array ``k`` of the result holds word ``k`` of every seed.  Runs on
-    uint32 arrays, one lane per seed.  A seed below 2**32 has a high word
+    Row ``i`` of the (seeds, 4) result holds the words of seed ``i``.  Runs
+    on uint32 arrays, one lane per seed.  A seed below 2**32 has a high word
     of 0, as numpy pads its pool.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
@@ -250,57 +248,54 @@ def _seed_sequence_words(seeds: Iterable[int]) -> list[np.ndarray]:
                 hashed = _hashmix(pool[src], next(steps))
                 mixed = pool[dst] * np.uint32(_MIX_MULT_L) - hashed * np.uint32(_MIX_MULT_R)
                 pool[dst] = mixed ^ (mixed >> np.uint32(16))
-    words = [
-        _hashmix(pool[i % _POOL_SIZE], step).astype(np.uint64)
-        for i, step in enumerate(_hash_steps(_INIT_B, _MULT_B, 2 * _POOL_SIZE))
-    ]
+    steps = enumerate(_hash_steps(_INIT_B, _MULT_B, 2 * _POOL_SIZE))
+    words = np.column_stack([_hashmix(pool[i % _POOL_SIZE], step) for i, step in steps])
+    words = words.astype(np.uint64)
     # little-endian uint32 pairs form each uint64 word
-    return [words[2 * k] | words[2 * k + 1] << np.uint64(32) for k in range(4)]
+    return words[:, 0::2] | words[:, 1::2] << np.uint64(32)
 
 
-def _pcg64_states(seeds: Iterable[int]) -> Iterator[dict]:
-    """``np.random.PCG64(seed).state`` of every uint64 seed, in turn.
+class _SeedWords(np.random.bit_generator.ISeedSequence):
+    """A seed that hands PCG64 the four words ``SeedSequence(seed)`` would."""
 
-    The seed words of all seeds come from one vectorized pass; PCG64's
-    ``srandom`` step runs in Python ints as each state is taken.
-    """
-    for hi, lo, seq_hi, seq_lo in zip(*(w.tolist() for w in _seed_sequence_words(seeds))):
-        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK_128
-        state = ((inc + (hi << 64 | lo)) * _PCG64_MULT + inc) & _MASK_128
-        yield {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+    def __init__(self, words: np.ndarray):
+        self._words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("only PCG64's four uint64 seed words are available")
+        return self._words
 
 
 @functools.cache
 def _bulk_seeding_matches_numpy() -> bool:
-    """Whether ``_pcg64_states`` reproduces this numpy's seeding (checked once per process)."""
+    """Whether ``_SeedWords`` seeds PCG64 as numpy does (checked once per process).
+
+    A PCG64 that asks its seed for other words counts as a mismatch.
+    """
     seeds = (1, 2**64 - 1)
-    return all(
-        state == np.random.PCG64(seed).state
-        for seed, state in zip(seeds, _pcg64_states(seeds))
-    )
+    try:
+        return all(
+            np.array_equal(
+                np.random.PCG64(_SeedWords(words)).random_raw(4),
+                np.random.PCG64(seed).random_raw(4),
+            )
+            for seed, words in zip(seeds, _seed_sequence_words(seeds))
+        )
+    except ValueError:
+        return False
 
 
 def _replicate_rngs(seeds: Iterable[int]) -> Iterator[SeedLike]:
     """Per seed, a ``proposal_sampler`` seed that draws as ``default_rng(seed)``.
 
-    All states are computed in one pass and loaded in turn into one
-    Generator, which is yielded for every seed: draw from it before taking
-    the next.  If the bulk states ever differ from numpy's, the int seeds
-    are yielded instead.
+    The seed words of all seeds come from one vectorized pass, and each
+    seed's row seeds its own PCG64.  If the bulk words ever seed PCG64
+    differently from numpy, the int seeds are yielded instead.
     """
     if not _bulk_seeding_matches_numpy():
-        yield from map(int, seeds)
-        return
-    bit_generator = np.random.PCG64(0)
-    generator = np.random.Generator(bit_generator)
-    for state in _pcg64_states(seeds):
-        bit_generator.state = state
-        yield generator
+        return map(int, seeds)
+    return map(_SeedWords, _seed_sequence_words(seeds))
 
 
 def _block_draws(pair: GaussianPair, n: int, rngs: Iterable[SeedLike]) -> np.ndarray:
@@ -320,7 +315,7 @@ def _trial_block(
     budget: ToleranceBudget,
     rngs: Iterable[SeedLike],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Run one breakdown trial per replicate generator, all in one vectorized pass.
+    """Run one breakdown trial per replicate seed, all in one vectorized pass.
 
     Row ``i`` holds the n draws of ``proposal_sampler(n, rng_i)``, so
     each trial is the same as when run alone.  Returns per-trial arrays:

@@ -248,6 +248,20 @@ class TestGenericNecessarySize:
                 report = necessary_sample_size(d, kind, BUDGET)
                 assert necessary_size_from_generator(d, gen, BUDGET) == report.necessary_size
 
+    def test_large_divergences_match_closed_form(self):
+        # the search forgives 4 ulps of d: exact up to ~1e12, then within the
+        # bound's own float resolution at N ~ 1e16
+        exact = [(KL, (20.0, 30.0)), (CHI2, (1e6, 1e12, 1e15))]
+        for kind, values in exact:
+            for d in values:
+                report = necessary_sample_size(d, kind, BUDGET)
+                generic = necessary_size_from_generator(d, BUILTIN_GENERATORS[kind], BUDGET)
+                assert generic == report.necessary_size, (kind, d)
+        for d in (40.0, 45.0):
+            closed = necessary_sample_size(d, KL, BUDGET).necessary_size
+            generic = necessary_size_from_generator(d, KULLBACK_LEIBLER, BUDGET)
+            assert abs(generic - closed) <= 1e-13 * closed, d
+
     def test_unreachable_divergence_is_an_error(self):
         # total variation's inflated cap saturates at 1 + eps/2, so a custom
         # "divergence" beyond it can never be reached

@@ -41,7 +41,7 @@ from isbound import (
 )
 from isbound import gaussian, sampling
 from isbound.cli import main
-from isbound.sampling import _BLOCK_PARTICLES, _pcg64_states, _replicate_rngs
+from isbound.sampling import _BLOCK_PARTICLES, _replicate_rngs
 
 STD_NORMAL = Gaussian1D(0.0, 1.0)
 BUDGET = ToleranceBudget(0.1, 0.1)
@@ -568,15 +568,45 @@ BULK_SEEDS = np.random.SeedSequence(2026).generate_state(10_000, dtype=np.uint64
 
 
 class TestBulkSeeding:
-    def test_states_match_numpy_seeding(self):
-        for seed, state in zip(BULK_SEEDS, _pcg64_states(BULK_SEEDS), strict=True):
-            assert state == np.random.PCG64(seed).state, seed
+    def test_words_match_seed_sequence(self):
+        words = sampling._seed_sequence_words(BULK_SEEDS)
+        assert words.shape == (len(BULK_SEEDS), 4)
+        for seed, row in zip(BULK_SEEDS, words, strict=True):
+            expected = np.random.SeedSequence(seed).generate_state(4, np.uint64)
+            assert np.array_equal(row, expected), seed
 
-    def test_reused_generator_draws_as_default_rng(self):
+    def test_states_match_numpy_seeding(self):
+        for seed, seed_words in zip(BULK_SEEDS, _replicate_rngs(BULK_SEEDS), strict=True):
+            assert np.random.PCG64(seed_words).state == np.random.PCG64(seed).state, seed
+
+    def test_replicate_seeds_draw_as_default_rng_in_any_order(self):
         seeds = BULK_SEEDS[:2000] + BULK_SEEDS[-5:]
-        for seed, rng in zip(seeds, _replicate_rngs(seeds), strict=True):
+        # every seed is taken before any is drawn from, then drawn from last first
+        rngs = list(_replicate_rngs(seeds))
+        for seed, rng in reversed(list(zip(seeds, rngs, strict=True))):
             expected = np.random.default_rng(seed).normal(3, 1.7, 25)
-            assert np.array_equal(rng.normal(3, 1.7, 25), expected), seed
+            assert np.array_equal(np.random.default_rng(rng).normal(3, 1.7, 25), expected), seed
+
+    def test_seed_words_refuse_other_requests(self):
+        (seed_words,) = _replicate_rngs([7])
+        for n_words, dtype in ((4, np.uint32), (2, np.uint64), (8, np.uint64)):
+            with pytest.raises(ValueError, match="four uint64"):
+                seed_words.generate_state(n_words, dtype)
+
+    def test_seeding_check_detects_disagreement(self, monkeypatch):
+        check = sampling._bulk_seeding_matches_numpy.__wrapped__
+        assert check()
+        words = sampling._seed_sequence_words
+        monkeypatch.setattr(sampling, "_seed_sequence_words", lambda seeds: words(seeds) ^ 1)
+        assert not check()
+
+        # as if PCG64 asked its seed for other words than the four it takes today
+        def other_request(self, n_words, dtype=np.uint32):
+            raise ValueError("only PCG64's four uint64 seed words are available")
+
+        monkeypatch.setattr(sampling, "_seed_sequence_words", words)
+        monkeypatch.setattr(sampling._SeedWords, "generate_state", other_request)
+        assert not check()
 
     def test_numpy_disagreement_falls_back_to_int_seeds(self, monkeypatch):
         exact = gaussian_kl(Gaussian1D(1.5, 1.0), STD_NORMAL).value
@@ -584,11 +614,11 @@ class TestBulkSeeding:
         assert sampling._bulk_seeding_matches_numpy()
         fast = breakdown_probability(*args, seed=13)
 
-        def no_bulk_states(seeds):
-            raise AssertionError("the fallback must not compute bulk states")
+        def no_bulk_words(seeds):
+            raise AssertionError("the fallback must not compute bulk seed words")
 
         monkeypatch.setattr(sampling, "_bulk_seeding_matches_numpy", lambda: False)
-        monkeypatch.setattr(sampling, "_pcg64_states", no_bulk_states)
+        monkeypatch.setattr(sampling, "_seed_sequence_words", no_bulk_words)
         assert list(_replicate_rngs([5, 2**64 - 1])) == [5, 2**64 - 1]
         assert breakdown_probability(*args, seed=13) == fast
 
