@@ -252,6 +252,12 @@ class TestMainEntry:
         assert from_flag.splitlines()[1].split(",")[-1] == "9"
         assert from_env != from_flag
 
+    def test_table_without_rows_prints_its_header(self, capsys):
+        assert main(["table1", "--n-list", ""]) == 0
+        assert capsys.readouterr().out == ",".join(cli.TABLE1_FIELDS) + "\n"
+        assert main(["table1", "--n-list", "", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["rows"] == []
+
     def test_breakdown_csv_single_record(self, capsys):
         assert main(
             ["breakdown", "--target-mean", "1", "--metric", "kl", "--particles", "50",
@@ -327,12 +333,18 @@ NON_FINITE_ARGV = {
 
 # the flags each command does not read, with a value each would accept
 UNREAD_FLAGS = {
-    "table1": ("--eps", "--delta", "--metric", "--method", "--mc-samples"),
-    "breakdown": ("--method", "--mc-samples"),
-    "ess": ("--eps", "--delta", "--metric", "--method", "--mc-samples"),
+    "table1": ("--eps", "--delta", "--metric", "--method", "--mc-samples", "--target-mean",
+               "--particles", "--replicates"),
+    "table2": ("--target-mean", "--particles", "--replicates", "--n-list"),
+    "table3": ("--target-mean", "--particles", "--replicates", "--n-list"),
+    "bounds": ("--particles", "--replicates", "--n-list"),
+    "breakdown": ("--method", "--mc-samples", "--n-list"),
+    "ess": ("--eps", "--delta", "--metric", "--method", "--mc-samples", "--replicates",
+            "--n-list"),
 }
 FLAG_VALUES = {"--eps": "9", "--delta": "0.2", "--metric": "tv", "--method": "mc",
-               "--mc-samples": "10"}
+               "--mc-samples": "10", "--target-mean": "1", "--particles": "5",
+               "--replicates": "5", "--n-list": "1,2"}
 COMMAND_ARGV = {
     "table1": ["table1", "--n-list", "1,2"],
     "table2": ["table2"],
@@ -358,7 +370,7 @@ class TestCommandFlags:
         assert main([*COMMAND_ARGV[command], "--seed", "2", "--format", "json"]) == 0
         config = json.loads(capsys.readouterr().out)["config"]
         assert config["seed"] == 2
-        assert not set(UNREAD_FLAGS.get(command, ())) & {
+        assert not set(UNREAD_FLAGS[command]) & {
             "--" + key.replace("_", "-") for key in config
         }
 
@@ -387,6 +399,21 @@ class TestInvalidConfigExitsTwo:
     def test_non_finite_value(self, case, capsys):
         assert main(NON_FINITE_ARGV[case]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_non_integer_seed_env_var(self, capsys, monkeypatch):
+        monkeypatch.setenv("ISBOUND_SEED", "7.5")
+        assert main(["table2"]) == 2
+        assert "config error: ISBOUND_SEED must be an integer, got '7.5'" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize("flag,raw,message", [
+        ("--n-list", "1,two", "bad list '1,two'"),
+        ("--eps-list", "0,-1", "table1 epsilons must be >= 0, got -1.0"),
+    ], ids=["n-list-word", "eps-list-negative"])
+    def test_malformed_list_entry(self, flag, raw, message, capsys):
+        assert main(["table1", flag, raw]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
 
 
 GOLDEN = Path(__file__).parent / "golden"
