@@ -18,6 +18,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -319,11 +320,6 @@ def run_ess(
     }
 
 
-# column headers of the table commands, which print them even without rows
-_HEADERS = dict(table1=TABLE1_FIELDS, table2=THRESHOLD_FIELDS, table3=THRESHOLD_FIELDS,
-                bounds=THRESHOLD_FIELDS)
-
-
 def _rows(payload) -> list[dict]:
     """A command's result as its ordered field dicts, one per output row."""
     if isinstance(payload, dict):  # breakdown / ess: a single record
@@ -352,7 +348,7 @@ def _json_value(value):
 
 def render_csv(command: str, payload) -> str:
     rows = _rows(payload)
-    header = _HEADERS.get(command) or list(rows[0])
+    header = _COMMANDS[command].header or list(rows[0])
     lines = [",".join(header)]
     lines.extend(",".join(_csv_cell(value) for value in row.values()) for row in rows)
     return "\n".join(lines) + "\n"
@@ -361,76 +357,6 @@ def render_csv(command: str, payload) -> str:
 def render_json(command: str, payload, config: dict) -> str:
     rows = [{key: _json_value(value) for key, value in row.items()} for row in _rows(payload)]
     return json.dumps({"config": config, "rows": rows}, indent=2) + "\n"
-
-
-def _add_flags(
-    parser: argparse.ArgumentParser, pair: bool = False, budget: bool = False,
-    method: bool = False,
-) -> None:
-    """Give a command the flags it reads: the Gaussian pair, the budget and
-    metric, the divergence method; every command takes the output flags and
-    ``--seed``."""
-    if pair:
-        parser.add_argument("--target-mean", type=float, default=0.0)
-        parser.add_argument("--target-var", type=float, default=1.0)
-        parser.add_argument("--proposal-mean", type=float, default=0.0)
-        parser.add_argument("--proposal-var", type=float, default=1.0)
-    if budget:
-        parser.add_argument("--eps", type=float, default=0.1, help="mass inflation tolerance")
-        parser.add_argument("--delta", type=float, default=0.1, help="estimation tolerance")
-        parser.add_argument(
-            "--metric",
-            choices=[*(kind.value for kind in _CLOSED_FORMS), "all"],
-            default="all",
-        )
-    if method:
-        parser.add_argument("--method", choices=["closed", "quadrature", "mc"], default="closed")
-        parser.add_argument("--mc-samples", type=int, default=10**6)
-    parser.add_argument("--seed", type=int, default=None, help=f"default: ${SEED_ENV_VAR} or 0")
-    parser.add_argument("--format", choices=["csv", "json"], default="csv")
-    parser.add_argument("--out", default=None, help="write output to PATH instead of stdout")
-
-
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The ``isbound`` argument parser, built on first use and shared by every call.
-
-    Parsing leaves the parser unchanged, so one instance serves all ``main``
-    calls of a process; callers must not modify it.
-    """
-    parser = argparse.ArgumentParser(
-        prog="isbound",
-        description="f-divergences and necessary sample sizes for importance sampling",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    # no prefix matching: table1 would read a stray --eps as --eps-list
-    add_command = functools.partial(sub.add_parser, allow_abbrev=False)
-
-    p1 = add_command("table1", help="generic vs symbolic divergence bounds")
-    p1.add_argument("--n-list", default="1,2,4,10,100,1000", help="comma-separated sizes")
-    p1.add_argument("--eps-list", default="0,0.1,1", help="comma-separated mass excesses")
-    _add_flags(p1)
-
-    for name, help_text in (
-        ("table2", "mean-shift necessary-sample-size table"),
-        ("table3", "variance necessary-sample-size table"),
-    ):
-        p = add_command(name, help=help_text)
-        _add_flags(p, budget=True, method=True)
-
-    pb = add_command("bounds", help="necessary sample sizes for one Gaussian pair")
-    _add_flags(pb, pair=True, budget=True, method=True)
-
-    pk = add_command("breakdown", help="replicated breakdown experiment")
-    _add_flags(pk, pair=True, budget=True)
-    pk.add_argument("--particles", type=int, default=100)
-    pk.add_argument("--replicates", type=int, default=100)
-
-    pe = add_command("ess", help="effective sample size diagnostics")
-    _add_flags(pe, pair=True)
-    pe.add_argument("--particles", type=int, default=100)
-
-    return parser
 
 
 def _resolve_seed(args) -> int:
@@ -472,27 +398,95 @@ def _parse_list(raw: str, caster):
     return values
 
 
-def _dispatch(args, seed: int):
-    if args.command == "table1":
-        return run_table1(_parse_list(args.n_list, int), _parse_list(args.eps_list, float))
-    pair = ()
-    if args.command not in ("table2", "table3"):
-        pair = (Gaussian1D(args.target_mean, args.target_var),
-                Gaussian1D(args.proposal_mean, args.proposal_var))
-    if args.command == "ess":
-        return run_ess(*pair, args.particles, seed)
-    if args.command == "breakdown":
-        return run_breakdown(
-            *pair, args.metric, args.particles, args.replicates, args.eps, args.delta, seed
-        )
-    options = (args.eps, args.delta, args.method, seed, args.mc_samples, args.metric)
-    if args.command == "table2":
-        return run_table2(*options)
-    if args.command == "table3":
-        return run_table3(*options)
-    if args.command == "bounds":
-        return run_bounds(*pair, *options)
-    raise ConfigError(f"unknown command {args.command!r}")
+def _pair(args) -> tuple[Gaussian1D, Gaussian1D]:
+    return (Gaussian1D(args.target_mean, args.target_var),
+            Gaussian1D(args.proposal_mean, args.proposal_var))
+
+
+def _options(args, seed: int) -> tuple:
+    return (args.eps, args.delta, args.method, seed, args.mc_samples, args.metric)
+
+
+# flag groups, as (flag, add_argument options)
+_PAIR = tuple((flag, dict(type=float, default=default)) for flag, default in (
+    ("--target-mean", 0.0), ("--target-var", 1.0), ("--proposal-mean", 0.0),
+    ("--proposal-var", 1.0),
+))
+_BUDGET = (
+    ("--eps", dict(type=float, default=0.1, help="mass inflation tolerance")),
+    ("--delta", dict(type=float, default=0.1, help="estimation tolerance")),
+    ("--metric", dict(choices=[*(kind.value for kind in _CLOSED_FORMS), "all"], default="all")),
+)
+_METHOD = (
+    ("--method", dict(choices=["closed", "quadrature", "mc"], default="closed")),
+    ("--mc-samples", dict(type=int, default=10**6)),
+)
+_OUTPUT = (
+    ("--seed", dict(type=int, default=None, help=f"default: ${SEED_ENV_VAR} or 0")),
+    ("--format", dict(choices=["csv", "json"], default="csv")),
+    ("--out", dict(default=None, help="write output to PATH instead of stdout")),
+)
+_PARTICLES = ("--particles", dict(type=int, default=100))
+
+
+@dataclass(frozen=True)
+class _Command:
+    """One subcommand: its help, the flags it reads in ``--help`` order, its runner."""
+
+    help: str
+    flags: tuple
+    run: Callable[[argparse.Namespace, int], object]
+    header: tuple | None = None  # a table command prints its header even without rows
+
+
+# a command takes only the flags it reads, so the JSON config records exactly those
+_COMMANDS = dict(
+    table1=_Command(
+        "generic vs symbolic divergence bounds",
+        (("--n-list", dict(default="1,2,4,10,100,1000", help="comma-separated sizes")),
+         ("--eps-list", dict(default="0,0.1,1", help="comma-separated mass excesses")),
+         *_OUTPUT),
+        lambda args, seed: run_table1(_parse_list(args.n_list, int),
+                                      _parse_list(args.eps_list, float)),
+        TABLE1_FIELDS,
+    ),
+    table2=_Command("mean-shift necessary-sample-size table", (*_BUDGET, *_METHOD, *_OUTPUT),
+                    lambda args, seed: run_table2(*_options(args, seed)), THRESHOLD_FIELDS),
+    table3=_Command("variance necessary-sample-size table", (*_BUDGET, *_METHOD, *_OUTPUT),
+                    lambda args, seed: run_table3(*_options(args, seed)), THRESHOLD_FIELDS),
+    bounds=_Command(
+        "necessary sample sizes for one Gaussian pair", (*_PAIR, *_BUDGET, *_METHOD, *_OUTPUT),
+        lambda args, seed: run_bounds(*_pair(args), *_options(args, seed)), THRESHOLD_FIELDS,
+    ),
+    breakdown=_Command(
+        "replicated breakdown experiment",
+        (*_PAIR, *_BUDGET, *_OUTPUT, _PARTICLES, ("--replicates", dict(type=int, default=100))),
+        lambda args, seed: run_breakdown(*_pair(args), args.metric, args.particles,
+                                         args.replicates, args.eps, args.delta, seed),
+    ),
+    ess=_Command("effective sample size diagnostics", (*_PAIR, *_OUTPUT, _PARTICLES),
+                 lambda args, seed: run_ess(*_pair(args), args.particles, seed)),
+)
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The ``isbound`` argument parser, built on first use and shared by every call.
+
+    Parsing leaves the parser unchanged, so one instance serves all ``main``
+    calls of a process; callers must not modify it.
+    """
+    parser = argparse.ArgumentParser(
+        prog="isbound",
+        description="f-divergences and necessary sample sizes for importance sampling",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in _COMMANDS.items():
+        # no prefix matching: table1 would read a stray --eps as --eps-list
+        command_parser = sub.add_parser(name, help=command.help, allow_abbrev=False)
+        for flag, options in command.flags:
+            command_parser.add_argument(flag, **options)
+    return parser
 
 
 def main(argv=None) -> int:
@@ -500,7 +494,7 @@ def main(argv=None) -> int:
     try:
         _validate(args)
         seed = _resolve_seed(args)
-        payload = _dispatch(args, seed)
+        payload = _COMMANDS[args.command].run(args, seed)
     except ConfigError as exc:
         print(f"isbound: config error: {exc}", file=sys.stderr)
         return 2
@@ -516,8 +510,13 @@ def main(argv=None) -> int:
         text = render_csv(args.command, payload)
 
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"isbound: config error: cannot write --out {args.out}: {exc.strerror}",
+                  file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0

@@ -400,6 +400,14 @@ class TestInvalidConfigExitsTwo:
         assert main(NON_FINITE_ARGV[case]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unwritable_out_path(self, where, tmp_path, capsys):
+        path = tmp_path / "missing" / "x.csv" if where == "missing-directory" else tmp_path
+        assert main(["ess", "--particles", "10", "--out", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"isbound: config error: cannot write --out {path}: ")
+
     def test_non_integer_seed_env_var(self, capsys, monkeypatch):
         monkeypatch.setenv("ISBOUND_SEED", "7.5")
         assert main(["table2"]) == 2
