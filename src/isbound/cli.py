@@ -12,7 +12,9 @@ full-precision companion column.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
+import itertools
 import json
 import math
 import os
@@ -34,6 +36,7 @@ from .gaussian import (
     Gaussian1D,
     GaussianPair,
     QuadratureError,
+    _parallel_map,
     gaussian_chi_squared,
     gaussian_kl,
     gaussian_squared_hellinger,
@@ -42,13 +45,7 @@ from .gaussian import (
     monte_carlo_divergence,
     quadrature_divergence,
 )
-from .sampling import (
-    breakdown_probability,
-    ess_chi2,
-    ess_kl,
-    normalized_weights,
-    sample_particles,
-)
+from .sampling import _normalized, breakdown_probability, ess_chi2, ess_kl, sample_particles
 
 __all__ = [
     "ConfigError",
@@ -160,19 +157,23 @@ def _run_pairs(
 ) -> list[ThresholdRecord]:
     """Threshold records for each (label, target, proposal), one per metric.
 
-    Row ``i`` column ``j`` of a Monte Carlo run draws from its own seed.
+    Row ``i`` column ``j`` of a Monte Carlo run draws from its own seed, so
+    its cells may run on separate threads and still give the same records.
     """
     budget = ToleranceBudget(epsilon, delta)
-    metrics = _resolve_metrics(metric)
-    records = []
-    for row, (label, target, proposal) in enumerate(pairs):
-        pair = make_gaussian_model(target, proposal)
-        for column, kind in enumerate(metrics):
-            cell_seed = _cell_seed(seed, row, column) if method == "mc" else seed
-            d = _compute_divergence(pair, kind, method, mc_samples, cell_seed)
-            report = necessary_sample_size(d, kind, budget)
-            records.append(ThresholdRecord(label, kind, d, report, cell_seed))
-    return records
+    metrics = list(enumerate(_resolve_metrics(metric)))
+    rows = [(row, label, make_gaussian_model(target, proposal))
+            for row, (label, target, proposal) in enumerate(pairs)]
+
+    def record(cell) -> ThresholdRecord:
+        (row, label, pair), (column, kind) = cell
+        cell_seed = _cell_seed(seed, row, column) if method == "mc" else seed
+        d = _compute_divergence(pair, kind, method, mc_samples, cell_seed)
+        report = necessary_sample_size(d, kind, budget)
+        return ThresholdRecord(label, kind, d, report, cell_seed)
+
+    cells = itertools.product(rows, metrics)
+    return _parallel_map(record, cells, mc_samples if method == "mc" else 0)
 
 
 def _resolve_metrics(metric: str) -> list[DivergenceKind]:
@@ -308,9 +309,10 @@ def run_ess(
 ) -> dict:
     """Sample one particle set and report both effective-sample-size diagnostics."""
     pair = make_gaussian_model(target, proposal)
-    measure = sample_particles(pair, n_particles, seed)
-    total_mass, w_hat = measure.total_mass(), normalized_weights(measure)
-    del measure  # the particles and weights are freed before the ESS sums run
+    # the particles are freed with the measure, before the weights are normalized
+    weights = sample_particles(pair, n_particles, seed).weights
+    total_mass, w_hat = float(weights.sum()), _normalized(weights)
+    del weights  # freed before the ESS sums run
     return {
         "n_particles": n_particles,
         "ess_kl": ess_kl(w_hat),
@@ -374,18 +376,41 @@ def _resolve_seed(args) -> int:
 
 
 def _validate(args) -> None:
-    for name in ("target_mean", "target_var", "proposal_mean", "proposal_var", "eps", "delta"):
-        if not math.isfinite(getattr(args, name, 0.0)):
-            raise ConfigError(f"--{name.replace('_', '-')} must be finite")
-    for name in ("target_var", "proposal_var", "eps", "delta"):
-        if getattr(args, name, 1.0) <= 0:
-            raise ConfigError(f"--{name.replace('_', '-')} must be positive")
-    for name in ("mc_samples", "particles", "replicates"):
-        if getattr(args, name, 1) < 1:
-            raise ConfigError(f"--{name.replace('_', '-')} must be at least 1")
+    """Check each numeric flag of the command against the range it is declared with.
+
+    Every float must be finite before any value is checked against its range.
+    """
+    checked = [(flag, getattr(args, flag[2:].replace("-", "_")), options["check"])
+               for flag, options in _COMMANDS[args.command].flags if "check" in options]
+    for flag, value, _ in checked:
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{flag} must be finite")
+    for flag, value, (holds, requirement) in checked:
+        if not holds(value):
+            raise ConfigError(f"{flag} must be {requirement}")
     # a Monte Carlo standard error needs at least two samples
     if getattr(args, "method", None) == "mc" and args.mc_samples < 2:
         raise ConfigError("--mc-samples must be at least 2 with --method mc")
+
+
+def _check_out(path: str) -> None:
+    """Raise ConfigError if ``--out`` cannot be written; creates and truncates nothing.
+
+    The path must not be a directory, and its parent must be a writable
+    directory; the message names the error that opening the path would raise.
+    """
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    elif not os.access(parent, os.W_OK) or (
+        os.path.exists(path) and not os.access(path, os.W_OK)
+    ):
+        code = errno.EACCES
+    else:
+        return
+    raise ConfigError(f"cannot write --out {path}: {os.strerror(code)}")
 
 
 def _parse_list(raw: str, caster):
@@ -407,26 +432,33 @@ def _options(args, seed: int) -> tuple:
     return (args.eps, args.delta, args.method, seed, args.mc_samples, args.metric)
 
 
-# flag groups, as (flag, add_argument options)
-_PAIR = tuple((flag, dict(type=float, default=default)) for flag, default in (
-    ("--target-mean", 0.0), ("--target-var", 1.0), ("--proposal-mean", 0.0),
-    ("--proposal-var", 1.0),
+# the range of a numeric flag, as (test, requirement); a flag declared with one
+# under "check" is tested by ``_validate``, which also requires floats to be finite
+_FINITE = (lambda value: True, "finite")
+_POSITIVE = (lambda value: value > 0, "positive")
+_COUNT = (lambda value: value >= 1, "at least 1")
+
+# flag groups, as (flag, add_argument options plus an optional "check"); --seed
+# is range-checked by ``_resolve_seed``, together with its environment variable
+_PAIR = tuple((flag, dict(type=float, default=default, check=check)) for flag, default, check in (
+    ("--target-mean", 0.0, _FINITE), ("--target-var", 1.0, _POSITIVE),
+    ("--proposal-mean", 0.0, _FINITE), ("--proposal-var", 1.0, _POSITIVE),
 ))
 _BUDGET = (
-    ("--eps", dict(type=float, default=0.1, help="mass inflation tolerance")),
-    ("--delta", dict(type=float, default=0.1, help="estimation tolerance")),
+    ("--eps", dict(type=float, default=0.1, check=_POSITIVE, help="mass inflation tolerance")),
+    ("--delta", dict(type=float, default=0.1, check=_POSITIVE, help="estimation tolerance")),
     ("--metric", dict(choices=[*(kind.value for kind in _CLOSED_FORMS), "all"], default="all")),
 )
 _METHOD = (
     ("--method", dict(choices=["closed", "quadrature", "mc"], default="closed")),
-    ("--mc-samples", dict(type=int, default=10**6)),
+    ("--mc-samples", dict(type=int, default=10**6, check=_COUNT)),
 )
 _OUTPUT = (
     ("--seed", dict(type=int, default=None, help=f"default: ${SEED_ENV_VAR} or 0")),
     ("--format", dict(choices=["csv", "json"], default="csv")),
     ("--out", dict(default=None, help="write output to PATH instead of stdout")),
 )
-_PARTICLES = ("--particles", dict(type=int, default=100))
+_PARTICLES = ("--particles", dict(type=int, default=100, check=_COUNT))
 
 
 @dataclass(frozen=True)
@@ -460,7 +492,8 @@ _COMMANDS = dict(
     ),
     breakdown=_Command(
         "replicated breakdown experiment",
-        (*_PAIR, *_BUDGET, *_OUTPUT, _PARTICLES, ("--replicates", dict(type=int, default=100))),
+        (*_PAIR, *_BUDGET, *_OUTPUT, _PARTICLES,
+         ("--replicates", dict(type=int, default=100, check=_COUNT))),
         lambda args, seed: run_breakdown(*_pair(args), args.metric, args.particles,
                                          args.replicates, args.eps, args.delta, seed),
     ),
@@ -485,7 +518,9 @@ def build_parser() -> argparse.ArgumentParser:
         # no prefix matching: table1 would read a stray --eps as --eps-list
         command_parser = sub.add_parser(name, help=command.help, allow_abbrev=False)
         for flag, options in command.flags:
-            command_parser.add_argument(flag, **options)
+            command_parser.add_argument(
+                flag, **{key: value for key, value in options.items() if key != "check"}
+            )
     return parser
 
 
@@ -494,6 +529,8 @@ def main(argv=None) -> int:
     try:
         _validate(args)
         seed = _resolve_seed(args)
+        if args.out:
+            _check_out(args.out)
         payload = _COMMANDS[args.command].run(args, seed)
     except ConfigError as exc:
         print(f"isbound: config error: {exc}", file=sys.stderr)

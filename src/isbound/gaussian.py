@@ -12,15 +12,25 @@ as an infinite value rather than an error.  Every quadrature integral on one
 pair shares its window, first sweep and log densities, built on first use.
 Each integrand is a function ``terms(x, log p, log q, log g)`` of arrays,
 evaluated through the pair's plan.
+
+``GaussianPair.ratios`` computes density ratios in cache-sized blocks of
+2^15 draws, into one output array, so no full-length log-ratio array is
+ever allocated.  Independent work units large enough to gain from it, such
+as Monte Carlo cells of 2^14 draws or more, run through ``_parallel_map`` on
+one thread per CPU in the process's affinity: numpy's normal draws and
+ufuncs release the GIL, each unit keeps its own seed, and results come back
+in input order, so output does not depend on the thread count.
 """
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import math
+import os
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Iterable, Union
 
 import numpy as np
 
@@ -50,6 +60,9 @@ _EXP_OVERFLOW = 700.0
 # exp() is exactly 0 below -745.14, where np.exp takes a slow underflow path;
 # log ratios below this cut are given the ratio 0 without calling it
 _EXP_UNDERFLOW = -750.0
+
+# draws per block of ``GaussianPair.ratios``: a block's log ratios stay in cache
+_RATIO_BLOCK = 1 << 15
 
 # a proposal sampler's seed; samplers pass it to np.random.default_rng, which
 # seeds PCG64 from an int or any ISeedSequence and returns a Generator unchanged
@@ -141,29 +154,35 @@ class GaussianPair:
         q = self.proposal
         return np.random.default_rng(seed).normal(q.mean, math.sqrt(q.variance), int(n))
 
-    def ratios(self, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Log ratios and ratios g of draws of any shape; log g > 700 gives g = +inf.
+    def ratios(self, draws: np.ndarray) -> np.ndarray:
+        """The ratios g of draws of any shape; log g > 700 gives g = +inf.
 
-        ``log_ratio`` sees the draws flattened to one dimension.
+        ``log_ratio`` sees the flattened draws in blocks of 2^15, each a view
+        of the draws, exponentiated into its slice of the new array returned.
         """
-        log_ratio = np.reshape(self.log_ratio(draws.ravel()), draws.shape)
-        return log_ratio, _exp_ratios(log_ratio)
+        flat, ratios = draws.ravel(), np.empty(draws.shape)
+        out = ratios.reshape(-1)  # a view, as ratios is contiguous
+        for start in range(0, flat.size, _RATIO_BLOCK):
+            block = slice(start, start + _RATIO_BLOCK)
+            _exp_ratios(self.log_ratio(flat[block]), out=out[block])
+        return ratios
 
 
-def _exp_ratios(log_ratio: np.ndarray) -> np.ndarray:
-    """The ratios g = exp(log g) in a new array; log g > 700 gives g = +inf."""
-    if log_ratio.min(initial=math.inf) >= _EXP_UNDERFLOW:
-        with np.errstate(over="ignore"):
-            ratios = np.exp(log_ratio)
-    else:
-        ratios = np.zeros_like(log_ratio)
-        kept = np.flatnonzero(~(log_ratio < _EXP_UNDERFLOW))  # NaN is kept
-        taken = log_ratio.take(kept)
-        with np.errstate(over="ignore"):
-            np.put(ratios, kept, np.exp(taken, out=taken))
+def _exp_ratios(log_ratio: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The ratios g = exp(log g), in ``out`` or a new array; log g > 700 gives g = +inf."""
+    if out is None:
+        out = np.empty_like(log_ratio)
+    with np.errstate(over="ignore"):
+        if log_ratio.min(initial=math.inf) >= _EXP_UNDERFLOW:
+            np.exp(log_ratio, out=out)
+        else:
+            out.fill(0.0)
+            kept = np.flatnonzero(~(log_ratio < _EXP_UNDERFLOW))  # NaN is kept
+            taken = log_ratio.take(kept)
+            np.put(out, kept, np.exp(taken, out=taken))
     if not log_ratio.max(initial=-math.inf) <= _EXP_OVERFLOW:
-        ratios[log_ratio > _EXP_OVERFLOW] = np.inf
-    return ratios
+        out[log_ratio > _EXP_OVERFLOW] = np.inf
+    return out
 
 
 def make_gaussian_model(target: Gaussian1D, proposal: Gaussian1D) -> GaussianPair:
@@ -526,6 +545,41 @@ def _weighted_variance(pair: GaussianPair, fn: Callable[[np.ndarray], np.ndarray
     return max(m2 - m1 * m1, 0.0)
 
 
+# Particles a work unit must hold before ``_parallel_map`` gives it a thread:
+# smaller units lose more to GIL hand-offs than they gain (break-even ~8-16k)
+_PARALLEL_PARTICLES = 1 << 14
+
+def _parallel_map(fn: Callable, items: Iterable, particles: int) -> list:
+    """``list(map(fn, items))``, on one thread per CPU when each unit is large.
+
+    ``particles`` is the size of one unit.  Units of at least
+    ``_PARALLEL_PARTICLES`` run on a per-call pool of
+    min(units, CPUs in the affinity) threads, each in a copy of the caller's
+    context, so the caller's ``np.errstate`` holds in them; otherwise, or
+    with one CPU, they run in order on the calling thread.  Results come
+    back in input order, and the first unit's exception is raised.
+    """
+    items = list(items)
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:  # a platform without affinity masks
+        cpus = os.cpu_count() or 1
+    workers = min(len(items), cpus)
+    if particles < _PARALLEL_PARTICLES or workers < 2:
+        return list(map(fn, items))
+    # imported here: small workloads never start a thread
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers) as pool:
+        futures = [pool.submit(contextvars.copy_context().run, fn, item) for item in items]
+        try:
+            return [future.result() for future in futures]
+        finally:
+            # after a failure, units not yet started are dropped
+            for future in futures:
+                future.cancel()
+
+
 _MC_CHUNK = 1_000_000
 
 
@@ -553,7 +607,7 @@ def monte_carlo_divergence(
     while drawn < sample_count:
         n = min(_MC_CHUNK, sample_count - drawn)
         seq = np.random.SeedSequence(entropy=int(seed), spawn_key=(chunk_index,))
-        ratios = pair.ratios(pair.proposal_sampler(n, seq))[1]
+        ratios = pair.ratios(pair.proposal_sampler(n, seq))
         if not ratios.max() < math.inf:
             overflowed += int(np.count_nonzero(np.isinf(ratios)))
         values = _generator_values(f, ratios)

@@ -11,13 +11,16 @@ master seed through ``numpy.random.SeedSequence``, so results do not depend
 on scheduling and are reproducible from the master seed alone.  Breakdown
 replicates compute numpy's SeedSequence words of all their seeds in one
 pass; each seed's words then seed its own ``default_rng``, which draws
-exactly what ``default_rng(seed)`` would.
+exactly what ``default_rng(seed)`` would.  Blocks of replicates holding
+2^14 particles or more run on one thread per CPU (``_parallel_map``); the
+counts are summed in block order and do not depend on the thread count.
+Density ratios come from ``GaussianPair.ratios``, which works through
+large draws in cache-sized blocks.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -27,7 +30,13 @@ import numpy as np
 
 from .bounds import ToleranceBudget
 from .divergences import ConvexGenerator, ProbabilityVector, _frozen, _generator_values
-from .gaussian import GaussianPair, SeedLike, WeightOverflowWarning, _weighted_variance
+from .gaussian import (
+    GaussianPair,
+    SeedLike,
+    WeightOverflowWarning,
+    _parallel_map,
+    _weighted_variance,
+)
 
 __all__ = [
     "WeightedEmpiricalMeasure",
@@ -102,13 +111,14 @@ def sample_particles(pair: GaussianPair, n: int, seed: int) -> WeightedEmpirical
     if n < 1:
         raise ValueError(f"particle count must be at least 1, got {n}")
     draws = np.asarray(pair.proposal_sampler(n, seed))
-    log_ratio, ratios = pair.ratios(draws)
+    ratios = pair.ratios(draws)
     if not ratios.max() < math.inf:
         bad = ~np.isfinite(ratios)
         index = int(np.argmax(bad))
+        log_ratio = pair.log_ratio(draws[index:index + 1])[0]
         warnings.warn(
             f"{int(bad.sum())} weight(s) overflowed; first at particle index {index} "
-            f"(v={draws[index]!r}, log ratio={log_ratio[index]!r})",
+            f"(v={draws[index]!r}, log ratio={log_ratio!r})",
             WeightOverflowWarning,
             stacklevel=2,
         )
@@ -145,12 +155,17 @@ def exact_mse(pair: GaussianPair, phi: Observable, n: int) -> float:
 
 def normalized_weights(measure: WeightedEmpiricalMeasure) -> ProbabilityVector:
     """Weights divided by their total mass."""
-    total = measure.total_mass()
+    return _normalized(measure.weights)
+
+
+def _normalized(weights: np.ndarray) -> ProbabilityVector:
+    """``normalized_weights`` of a weight array, without the measure's particles."""
+    total = float(weights.sum())
     if not math.isfinite(total):
         raise ValueError("cannot normalize weights with non-finite total mass")
     if total <= 0:
         raise ValueError("cannot normalize all-zero weights")
-    entries = measure.weights / total
+    entries = weights / total
     entries.setflags(write=False)
     return ProbabilityVector(entries)
 
@@ -286,16 +301,21 @@ def _bulk_seeding_matches_numpy() -> bool:
         return False
 
 
-def _replicate_rngs(seeds: Iterable[int]) -> Iterator[SeedLike]:
-    """Per seed, a ``proposal_sampler`` seed that draws as ``default_rng(seed)``.
+def _replicate_rngs(seeds: Iterable[int], rows: int) -> list[Iterator[SeedLike]]:
+    """Per block of ``rows`` seeds, ``proposal_sampler`` seeds that draw as ``default_rng(seed)``.
 
     The seed words of all seeds come from one vectorized pass, and each
-    seed's row seeds its own PCG64.  If the bulk words ever seed PCG64
-    differently from numpy, the int seeds are yielded instead.
+    seed's row seeds its own PCG64.  Each block wraps its own rows one at a
+    time as it is drawn from, so no block shares state with another.  If the
+    bulk words ever seed PCG64 differently from numpy, the int seeds are
+    used instead.
     """
-    if not _bulk_seeding_matches_numpy():
-        return map(int, seeds)
-    return map(_SeedWords, _seed_sequence_words(seeds))
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    if _bulk_seeding_matches_numpy():
+        table, seed_like = _seed_sequence_words(seeds), _SeedWords
+    else:
+        table, seed_like = seeds, int
+    return [map(seed_like, table[start:start + rows]) for start in range(0, len(table), rows)]
 
 
 def _block_draws(pair: GaussianPair, n: int, rngs: Iterable[SeedLike]) -> np.ndarray:
@@ -321,8 +341,8 @@ def _trial_block(
     each trial is the same as when run alone.  Returns per-trial arrays:
     mass, divergence estimate, mass_ok, estimate_ok and overflowed.
     """
-    # the draws and log ratios are freed before f allocates its temporaries
-    ratios = pair.ratios(_block_draws(pair, n, rngs))[1]
+    # the draws are freed before f allocates its temporaries
+    ratios = pair.ratios(_block_draws(pair, n, rngs))
     mass = ratios.mean(axis=1)
     # an overflowed ratio makes the mass of its row +inf
     overflowed = np.isinf(mass)
@@ -420,24 +440,28 @@ def breakdown_probability(
     (pair, f, n, budget, replicates, seed) and independent of scheduling.
     Replicates are evaluated in blocks of about 4096 particles; each still
     draws what ``default_rng`` of its own seed draws, so the counts do not
-    depend on the block size.
+    depend on the block size, nor on the threads that large blocks run on.
     """
     if replicates < 1:
         raise ValueError(f"replicates must be at least 1, got {replicates}")
     _check_trial(n, exact_divergence)
     trial_seeds = np.random.SeedSequence(int(seed)).generate_state(replicates, np.uint64)
-    rngs = _replicate_rngs(trial_seeds)
     rows = max(1, _BLOCK_PARTICLES // n)
-    failures = 0
-    mass_violations = 0
-    estimate_violations = 0
-    for _ in range(0, replicates, rows):
+
+    def count_violations(block_rngs: Iterator[SeedLike]) -> tuple[int, int, int]:
+        """Failures, mass violations and estimate violations of one block."""
         _, _, mass_ok, estimate_ok, _ = _trial_block(
-            pair, f, exact_divergence, n, budget, itertools.islice(rngs, rows)
+            pair, f, exact_divergence, n, budget, block_rngs
         )
-        failures += int(np.count_nonzero(~(mass_ok & estimate_ok)))
-        mass_violations += int(np.count_nonzero(~mass_ok))
-        estimate_violations += int(np.count_nonzero(~estimate_ok))
+        return (
+            int(np.count_nonzero(~(mass_ok & estimate_ok))),
+            int(np.count_nonzero(~mass_ok)),
+            int(np.count_nonzero(~estimate_ok)),
+        )
+
+    blocks = _replicate_rngs(trial_seeds, rows)
+    counts = _parallel_map(count_violations, blocks, rows * n)
+    failures, mass_violations, estimate_violations = map(sum, zip(*counts))
     return BreakdownReport(
         replicates=replicates,
         n_particles=n,

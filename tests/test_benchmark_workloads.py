@@ -10,6 +10,7 @@ import contextlib
 import importlib.util
 import io
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -66,3 +67,18 @@ def test_tracer_sees_every_quadrature_integral():
         tracer.end_op()
     assert tracer.stats["gaussian.adaptive_integral"].calls == 4
     assert tracer.counters["gaussian.integrand.evals"] > 0
+
+
+def test_tracer_survives_threaded_monte_carlo_cells(cpus, drawing_threads):
+    """Monte Carlo cells of 2^15 draws run on worker threads, whose spans
+    overlap; the traced run still completes and counts every draw call."""
+    cpus(2)
+    tracer = load_perfbench("tracing").Tracer()
+    argv = ["table2", "--method", "mc", "--mc-samples", "32768"]
+    with tracer, contextlib.redirect_stdout(io.StringIO()):
+        tracer.begin_op(0)
+        assert cli.main(argv) == 0
+        tracer.end_op()
+    assert drawing_threads and threading.main_thread() not in drawing_threads
+    assert tracer._stack == []
+    assert tracer.stats["gaussian.proposal_sampler"].calls == 16

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -177,6 +178,18 @@ class TestEss:
     def test_heavy_pair_orders_diagnostics(self):
         report = run_ess(Gaussian1D(3, 1), Gaussian1D(0, 1), n_particles=100, seed=0)
         assert 1.0 <= report["ess_chi2"] <= report["ess_kl"] <= 100.0
+
+    def test_at_most_two_particle_arrays_are_live(self):
+        # the weights are taken without a copy, and the particles are freed
+        # before the weights are normalized
+        n = 1_000_000
+        tracemalloc.start()
+        try:
+            run_ess(Gaussian1D(2, 1), Gaussian1D(0, 1), n_particles=n, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 8 * n
 
 
 class TestMainEntry:
@@ -407,6 +420,56 @@ class TestInvalidConfigExitsTwo:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"isbound: config error: cannot write --out {path}: ")
+
+    @pytest.mark.parametrize("where", ["missing-directory", "directory", "file-as-directory"])
+    def test_unwritable_out_path_fails_before_computing(self, where, tmp_path, capsys,
+                                                        monkeypatch):
+        def no_sampling(*args):
+            raise AssertionError("an unwritable --out must be refused before sampling")
+
+        monkeypatch.setattr(cli, "sample_particles", no_sampling)
+        (tmp_path / "file").write_text("kept")
+        path = {"missing-directory": tmp_path / "missing" / "x.csv", "directory": tmp_path,
+                "file-as-directory": tmp_path / "file" / "x.csv"}[where]
+        assert main(["ess", "--particles", "5000000", "--out", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"isbound: config error: cannot write --out {path}: "
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+        assert (tmp_path / "file").read_text() == "kept"
+
+    def test_checking_out_leaves_an_existing_file_as_it_is(self, tmp_path, capsys):
+        path = tmp_path / "x.csv"
+        path.write_text("kept")
+        # a writable path is checked, then the run fails before any output is written
+        argv = ["breakdown", "--target-var", "16", "--metric", "chi2", "--out", str(path)]
+        assert main(argv) == 1
+        assert "numerical failure" in capsys.readouterr().err
+        assert path.read_text() == "kept"
+
+    def test_every_numeric_flag_declares_its_range(self):
+        for name, command in cli._COMMANDS.items():
+            for flag, options in command.flags:
+                # --seed is checked with ISBOUND_SEED by _resolve_seed
+                if options.get("type") in (int, float) and flag != "--seed":
+                    assert "check" in options, (name, flag)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["ess", "--target-var", "0"], "--target-var must be positive"),
+        (["breakdown", "--proposal-var", "-1", "--metric", "kl"],
+         "--proposal-var must be positive"),
+        (["table3", "--delta", "0"], "--delta must be positive"),
+        (["ess", "--particles", "0"], "--particles must be at least 1"),
+        (["breakdown", "--replicates", "0", "--metric", "kl"], "--replicates must be at least 1"),
+        (["table2", "--mc-samples", "0"], "--mc-samples must be at least 1"),
+        # every value is finite before any range is checked
+        (["bounds", "--target-var", "0", "--eps", "nan"], "--eps must be finite"),
+        (["breakdown", "--eps", "0", "--particles", "0", "--metric", "kl"],
+         "--eps must be positive"),
+    ])
+    def test_range_errors_name_the_flag(self, argv, message, capsys):
+        assert main(argv) == 2
+        assert f"isbound: config error: {message}\n" == capsys.readouterr().err
 
     def test_non_integer_seed_env_var(self, capsys, monkeypatch):
         monkeypatch.setenv("ISBOUND_SEED", "7.5")

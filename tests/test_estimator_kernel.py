@@ -8,8 +8,12 @@ contract of ``_generator_values`` (zero ratios, overflowed ratios, NaN) is
 tested through every estimator that uses it.
 """
 
+import contextlib
 import functools
+import io
 import math
+import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +43,8 @@ from isbound import (
     quadrature_divergence,
     sample_particles,
 )
-from isbound import sampling
-from isbound.gaussian import _generator_values
+from isbound import cli, gaussian, sampling
+from isbound.gaussian import _RATIO_BLOCK, _generator_values
 from isbound.sampling import _BLOCK_PARTICLES
 
 STD_NORMAL = Gaussian1D(0.0, 1.0)
@@ -126,9 +130,8 @@ def test_ratios_match_reference_bits(mean, variance):
     # widened draws reach exp's subnormal and zero ranges and the cut at 700
     pair = make_gaussian_model(Gaussian1D(mean, variance), STD_NORMAL)
     draws = reference_draws(pair, 200_000, 7) * 12.0
-    log_ratio, ratios = pair.ratios(draws)
-    assert np.array_equal(log_ratio, textbook_log_ratio(pair, draws))
-    assert np.array_equal(ratios, reference_ratios(pair, draws))
+    assert np.array_equal(pair.log_ratio(draws), textbook_log_ratio(pair, draws))
+    assert np.array_equal(pair.ratios(draws), reference_ratios(pair, draws))
 
 
 @pytest.mark.parametrize("mean, variance", MC_TARGETS)
@@ -174,7 +177,7 @@ def test_breakdown_matches_reference_bits(n, replicates, mean, variance):
         ).value
         masses, estimates = reference_trials(pair, f, n, seeds)
         block = sampling._trial_block(
-            pair, f, exact, n, BUDGET, sampling._replicate_rngs(seeds)
+            pair, f, exact, n, BUDGET, sampling._replicate_rngs(seeds, replicates)[0]
         )
         np.testing.assert_array_equal(block[0], masses)
         np.testing.assert_array_equal(block[1], estimates)
@@ -312,3 +315,106 @@ class TestGeneratorValues:
             for estimate in estimators:
                 with pytest.raises(ValueError):
                     estimate(f)
+
+
+# -- blocked ratios and threaded work units -----------------------------------
+
+SHIFT = make_gaussian_model(Gaussian1D(3.5, 1.0), STD_NORMAL)
+# log g of SHIFT is 3.5 x - 6.125: above 700 at x = 250, below -750 at x = -250
+EXTREME_DRAWS = (250.0, -250.0)
+
+
+@pytest.mark.parametrize("size", [
+    _RATIO_BLOCK - 1, _RATIO_BLOCK, _RATIO_BLOCK + 1, 3 * _RATIO_BLOCK + 7,
+])
+def test_blocked_ratios_match_reference_bits(size):
+    draws = reference_draws(SHIFT, size, 5)
+    # the overflowing and underflowing draws sit in the last block only
+    draws[-len(EXTREME_DRAWS):] = EXTREME_DRAWS
+    ratios = SHIFT.ratios(draws)
+    expected = reference_ratios(SHIFT, draws)
+    assert expected[-2:].tolist() == [math.inf, 0.0]
+    assert np.isfinite(expected[:-2]).all() and (expected[:-2] > 0).all()
+    assert np.array_equal(ratios, expected)
+    # a 2-D block of replicates gives the ratios of its flattened draws
+    rows = draws[: size - size % 3].reshape(3, -1)
+    assert np.array_equal(SHIFT.ratios(rows), reference_ratios(SHIFT, rows))
+
+
+@pytest.mark.parametrize("size", [_RATIO_BLOCK, 2 * _RATIO_BLOCK + 1])
+def test_ratios_pass_one_block_at_a_time(size):
+    seen = []
+
+    @dataclass(frozen=True)
+    class RecordingPair(GaussianPair):
+        def log_ratio(self, x):
+            seen.append(x)
+            return super().log_ratio(x)
+
+    draws = reference_draws(SHIFT, size, 6)
+    ratios = RecordingPair(SHIFT.target, SHIFT.proposal).ratios(draws)
+    # the ratios own their data, so a measure takes them as weights without a copy
+    assert ratios.flags.owndata and ratios.shape == draws.shape
+    assert [x.size for x in seen] == [
+        min(_RATIO_BLOCK, size - start) for start in range(0, size, _RATIO_BLOCK)
+    ]
+    # every block is a view of the draws, not a copy
+    assert all(np.shares_memory(x, draws) for x in seen)
+
+
+def cli_output(argv):
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        assert cli.main([*argv, "--format", "json"]) == 0
+    return buffer.getvalue()
+
+
+# the chi-squared cells of table3's wide targets are infinite and not estimated
+THREADED_ARGV = {
+    "table2-mc": ["table2", "--method", "mc", "--mc-samples", "65536", "--seed", "3"],
+    "table3-mc": ["table3", "--method", "mc", "--mc-samples", "65536", "--seed", "3"],
+    "breakdown": ["breakdown", "--target-mean", "1", "--metric", "kl", "--particles", "20000",
+                  "--replicates", "6", "--seed", "4"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(THREADED_ARGV))
+def test_threaded_and_serial_cli_output_are_identical(case, cpus, drawing_threads):
+    argv = THREADED_ARGV[case]
+    cpus(1)
+    serial = cli_output(argv)
+    assert drawing_threads == {threading.main_thread()}
+    drawing_threads.clear()
+    cpus(4)
+    threaded = cli_output(argv)
+    assert drawing_threads and threading.main_thread() not in drawing_threads
+    assert threaded == serial
+
+
+def test_small_units_stay_on_the_calling_thread(cpus, drawing_threads):
+    cpus(4)
+    units = gaussian._PARALLEL_PARTICLES - 1
+    cli_output(["table2", "--method", "mc", "--mc-samples", str(units)])
+    cli_output(["breakdown", "--target-mean", "1", "--metric", "kl", "--particles",
+                str(units), "--replicates", "3"])
+    assert drawing_threads == {threading.main_thread()}
+
+
+def test_more_workers_than_cpus_with_frequent_switches(cpus, drawing_threads):
+    """Eight workers on this machine's CPUs, switching every 10 us, give the serial output."""
+    units = str(gaussian._PARALLEL_PARTICLES)
+    argvs = [["table2", "--method", "mc", "--mc-samples", units, "--seed", "8"],
+             ["breakdown", "--target-mean", "2", "--metric", "tv", "--particles", units,
+              "--replicates", "16", "--seed", "8"]]
+    cpus(1)
+    serial = [cli_output(argv) for argv in argvs]
+    drawing_threads.clear()
+    cpus(8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threaded = [cli_output(argv) for argv in argvs]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(drawing_threads) > 1 and threading.main_thread() not in drawing_threads
+    assert threaded == serial

@@ -1,6 +1,8 @@
 """Tests for particle weighting, estimation, ESS diagnostics and breakdown."""
 
+import itertools
 import math
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,6 +43,7 @@ from isbound import (
 )
 from isbound import gaussian, sampling
 from isbound.cli import main
+from isbound.gaussian import _PARALLEL_PARTICLES, _RATIO_BLOCK, _parallel_map
 from isbound.sampling import _BLOCK_PARTICLES, _replicate_rngs
 
 STD_NORMAL = Gaussian1D(0.0, 1.0)
@@ -59,6 +62,13 @@ class ConstantRatioPair(GaussianPair):
 
     def log_ratio(self, x):
         return np.full_like(np.asarray(x, dtype=float), self.level)
+
+
+class SteepRatioPair(GaussianPair):
+    """Draws from N(0, 1), with log g = 300 v: about 1 % of the ratios overflow."""
+
+    def log_ratio(self, x):
+        return 300.0 * np.asarray(x, dtype=float)
 
 
 def overflowing_model(log_ratio: float = 720.0):
@@ -116,6 +126,19 @@ class TestSampleParticles:
         with pytest.warns(WeightOverflowWarning, match="particle index 0"):
             measure = sample_particles(overflowing_model(), 3, seed=1)
         assert np.all(np.isinf(measure.weights))
+
+    def test_overflow_warning_names_the_first_particle_and_its_log_ratio(self):
+        pair = SteepRatioPair(STD_NORMAL, STD_NORMAL)
+        n = 3 * _RATIO_BLOCK
+        draws = pair.proposal_sampler(n, 8)
+        log_ratio = pair.log_ratio(draws)
+        index = int(np.argmax(log_ratio > 700.0))
+        with pytest.warns(WeightOverflowWarning) as record:
+            sample_particles(pair, n, seed=8)
+        assert (
+            f"first at particle index {index} "
+            f"(v={draws[index]!r}, log ratio={log_ratio[index]!r})"
+        ) in str(record[0].message)
 
     def test_log_ratio_past_the_cut_overflows_though_exp_is_finite(self):
         # exp(705) is a finite double; the overflow cut at 700 still applies
@@ -458,8 +481,9 @@ class TestOverflowPolicy:
         draws = np.zeros((2, 3))
         for level, expected in [(700.0, math.exp(700.0)), (705.0, math.inf),
                                 (720.0, math.inf), (-800.0, 0.0)]:
-            log_ratio, ratios = overflowing_model(level).ratios(draws)
-            assert np.all(log_ratio == level)
+            model = overflowing_model(level)
+            assert np.all(model.log_ratio(draws) == level)
+            ratios = model.ratios(draws)
             assert ratios.shape == draws.shape
             assert np.all(ratios == expected), level
 
@@ -567,6 +591,11 @@ BULK_SEEDS = np.random.SeedSequence(2026).generate_state(10_000, dtype=np.uint64
 ]
 
 
+def replicate_rngs(seeds):
+    """The seeds of ``_replicate_rngs`` in blocks of 7, one after the other."""
+    return itertools.chain.from_iterable(_replicate_rngs(seeds, 7))
+
+
 class TestBulkSeeding:
     def test_words_match_seed_sequence(self):
         words = sampling._seed_sequence_words(BULK_SEEDS)
@@ -576,19 +605,19 @@ class TestBulkSeeding:
             assert np.array_equal(row, expected), seed
 
     def test_states_match_numpy_seeding(self):
-        for seed, seed_words in zip(BULK_SEEDS, _replicate_rngs(BULK_SEEDS), strict=True):
+        for seed, seed_words in zip(BULK_SEEDS, replicate_rngs(BULK_SEEDS), strict=True):
             assert np.random.PCG64(seed_words).state == np.random.PCG64(seed).state, seed
 
     def test_replicate_seeds_draw_as_default_rng_in_any_order(self):
         seeds = BULK_SEEDS[:2000] + BULK_SEEDS[-5:]
         # every seed is taken before any is drawn from, then drawn from last first
-        rngs = list(_replicate_rngs(seeds))
+        rngs = list(replicate_rngs(seeds))
         for seed, rng in reversed(list(zip(seeds, rngs, strict=True))):
             expected = np.random.default_rng(seed).normal(3, 1.7, 25)
             assert np.array_equal(np.random.default_rng(rng).normal(3, 1.7, 25), expected), seed
 
     def test_seed_words_refuse_other_requests(self):
-        (seed_words,) = _replicate_rngs([7])
+        (seed_words,) = replicate_rngs([7])
         for n_words, dtype in ((4, np.uint32), (2, np.uint64), (8, np.uint64)):
             with pytest.raises(ValueError, match="four uint64"):
                 seed_words.generate_state(n_words, dtype)
@@ -619,7 +648,7 @@ class TestBulkSeeding:
 
         monkeypatch.setattr(sampling, "_bulk_seeding_matches_numpy", lambda: False)
         monkeypatch.setattr(sampling, "_seed_sequence_words", no_bulk_words)
-        assert list(_replicate_rngs([5, 2**64 - 1])) == [5, 2**64 - 1]
+        assert list(replicate_rngs([5, 2**64 - 1])) == [5, 2**64 - 1]
         assert breakdown_probability(*args, seed=13) == fast
 
 
@@ -642,3 +671,75 @@ def test_breakdown_output_matches_golden(name, tmp_path):
     argv = ["breakdown", *GOLDEN_RUNS[name].split(), "--format", "json", "--out", str(out)]
     assert main(argv) == 0
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def on_thread(fn):
+    """``fn`` returning ``(the thread it ran on, its result)``."""
+    return lambda item: (threading.current_thread(), fn(item))
+
+
+class TestParallelMap:
+    """Work units on worker threads behave as on the calling thread."""
+
+    def run(self, cpus, count, fn, items, particles=_PARALLEL_PARTICLES):
+        cpus(count)
+        threads, results = zip(*_parallel_map(on_thread(fn), items, particles))
+        on_main = {threading.main_thread()} == set(threads)
+        assert on_main == (count == 1 or particles < _PARALLEL_PARTICLES)
+        return list(results)
+
+    def test_results_come_back_in_input_order(self, cpus):
+        items = list(range(20))
+        for count in (1, 3):
+            assert self.run(cpus, count, lambda i: i * i, items) == [i * i for i in items]
+        assert self.run(cpus, 3, str, items, particles=_PARALLEL_PARTICLES - 1) == list(
+            map(str, items)
+        )
+
+    def test_overflow_warning_reaches_the_caller(self, cpus):
+        units = _PARALLEL_PARTICLES
+
+        def estimate(seed):
+            return monte_carlo_divergence(overflowing_model(), TOTAL_VARIATION, units, seed)
+
+        runs = []
+        for count in (1, 2):
+            with pytest.warns(WeightOverflowWarning) as record:
+                values = self.run(cpus, count, estimate, [1, 2])
+            runs.append((values, sorted(str(w.message) for w in record)))
+        assert runs[0] == runs[1]
+        assert runs[0][1] == [f"{units} of {units} density ratios overflowed; "
+                              "the estimate is +inf"] * 2
+
+    def test_value_error_reaches_the_caller(self, cpus):
+        exact = gaussian_kl(Gaussian1D(1.0, 1.0), STD_NORMAL).value
+        nan_pair = overflowing_model(math.nan)
+        for count in (1, 2):
+            cpus(count)
+            with pytest.raises(ValueError, match="density ratio is NaN"):
+                breakdown_probability(
+                    nan_pair, KULLBACK_LEIBLER, exact, _PARALLEL_PARTICLES, BUDGET, 4, seed=1
+                )
+
+    def test_the_first_failing_unit_is_raised(self, cpus):
+        def fail_from_two(i):
+            if i >= 2:
+                raise ValueError(f"unit {i}")
+            return i
+
+        for count in (1, 4):
+            cpus(count)
+            with pytest.raises(ValueError, match="^unit 2$"):
+                _parallel_map(fail_from_two, range(8), _PARALLEL_PARTICLES)
+
+    @pytest.mark.skipif(
+        int(np.__version__.split(".")[0]) < 2, reason="numpy 1.x keeps np.errstate per thread"
+    )
+    def test_caller_errstate_holds_in_workers(self, cpus):
+        with np.errstate(over="raise"):
+            states = self.run(cpus, 2, lambda _: np.geterr()["over"], range(4))
+            assert states == ["raise"] * 4
+            cpus(2)
+            with pytest.raises(FloatingPointError):
+                _parallel_map(lambda _: np.exp(np.full(3, 1000.0)), range(4),
+                              _PARALLEL_PARTICLES)
