@@ -356,7 +356,7 @@ def render_csv(command: str, payload) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_json(command: str, payload, config: dict) -> str:
+def render_json(payload, config: dict) -> str:
     rows = [{key: _json_value(value) for key, value in row.items()} for row in _rows(payload)]
     return json.dumps({"config": config, "rows": rows}, indent=2) + "\n"
 
@@ -542,7 +542,7 @@ def main(argv=None) -> int:
     config = {k: v for k, v in sorted(vars(args).items()) if k not in ("out", "format")}
     config["seed"] = seed
     if args.format == "json":
-        text = render_json(args.command, payload, config)
+        text = render_json(payload, config)
     else:
         text = render_csv(args.command, payload)
 

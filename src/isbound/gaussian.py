@@ -9,9 +9,9 @@ as ``exp(2 log g + log q)``) so that the window edges neither overflow nor
 silently underflow; a genuine divergence, such as the chi-squared integral
 for a target variance >= 2, surfaces as integrand overflow and is reported
 as an infinite value rather than an error.  Every quadrature integral on one
-pair shares its window, first sweep and log densities, built on first use.
-Each integrand is a function ``terms(x, log p, log q, log g)`` of arrays,
-evaluated through the pair's plan.
+pair shares its window, first sweep (with the window-edge probes) and log
+densities, built on first use.  Each integrand is a function
+``terms(x, log p, log q, log g)`` of arrays, evaluated through the pair's plan.
 
 ``GaussianPair.ratios`` computes density ratios in cache-sized blocks of
 2^15 draws, into one output array, so no full-length log-ratio array is
@@ -302,11 +302,12 @@ _WEIGHTS = np.concatenate([_QK15[:, 1:], _QK15[-2::-1, 1:]])
 def adaptive_integral(fn: Callable[[np.ndarray], np.ndarray], breakpoints) -> float:
     """Adaptive Gauss-Kronrod (G7/K15) integration over [min(bp), max(bp)].
 
-    Panels between the breakpoints are refined in sweeps.  Each sweep calls
-    ``fn`` once, on the 15 nodes of every open panel, with overflow and
-    invalid-value warnings silenced, and takes K15 with |K15 - G7| as its
-    error.  Panels within their share of the tolerance left of
-    max(absolute, relative * |total|) are accepted and the rest bisected;
+    Panels between the breakpoints are refined in sweeps.  ``fn`` is
+    evaluated elementwise, once per sweep, on the 15 nodes of every open
+    panel, with overflow and invalid-value warnings silenced; the first call
+    also covers the four window-edge probes.  Each sweep takes K15 with
+    |K15 - G7| as its error.  Panels within their share of the tolerance
+    left of max(absolute, relative * |total|) are accepted and the rest bisected;
     over 10^4 bisections raise QuadratureError.  The result is +inf when
     the integrand overflows, a panel sum is not finite, or a window edge is
     non-negligible and still growing outward (the window holds the
@@ -316,12 +317,14 @@ def adaptive_integral(fn: Callable[[np.ndarray], np.ndarray], breakpoints) -> fl
     # a pair's quadrature plan is a window with its first sweep already built
     window = breakpoints if isinstance(breakpoints, _Window) else _Window(breakpoints)
     lo, hi = window.breakpoints[:-1], window.breakpoints[1:]
-    half, nodes = window.half, window.nodes
+    half = window.half
     total = accepted_err = 0.0
     splits = 0
     with np.errstate(over="ignore", invalid="ignore"):
+        values = np.asarray(fn(window.first_sweep))
+        values, probe_values = values[:-4], values[-4:]
         while True:
-            values = np.reshape(fn(nodes), (half.size, _NODES.size))
+            values = np.reshape(values, (half.size, _NODES.size))
             kronrod, gauss = (half[:, np.newaxis] * (values @ _WEIGHTS)).T
             err = np.abs(kronrod - gauss)
             if not math.isfinite(estimate := total + float(kronrod.sum())):
@@ -344,8 +347,9 @@ def adaptive_integral(fn: Callable[[np.ndarray], np.ndarray], breakpoints) -> fl
             mid = 0.5 * (lo + hi)
             lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
             half, nodes = _panel_nodes(lo, hi)
+            values = fn(nodes)
 
-        if not _edges_certified(fn, window, total):
+        if not _edges_certified(probe_values, window, total):
             return math.inf
     return total
 
@@ -357,11 +361,12 @@ def _panel_nodes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 class _Window:
-    """An integration window: its unique breakpoints, the half-widths and
-    nodes of its first sweep's panels, and its four edge probes; all read-only.
+    """An integration window: its unique breakpoints, the half-widths of its
+    first sweep's panels, and the points of that sweep; all read-only.
 
-    The probes are both edges and a point a thousandth of the width inside
-    each, in the order ``_edges_certified`` reads them.
+    The first sweep is the panels' 15 nodes each, then the four edge probes
+    that ``_edges_certified`` reads: both edges and a point a thousandth of
+    the width inside each, as ``[lo, lo + step, hi, hi - step]``.
     """
 
     def __init__(self, breakpoints):
@@ -371,24 +376,23 @@ class _Window:
         half, nodes = _panel_nodes(pts[:-1], pts[1:])
         lo, hi = float(pts[0]), float(pts[-1])
         step = 1e-3 * (hi - lo)
-        probes = np.array([lo, lo + step, hi, hi - step])
-        self.breakpoints, self.half, self.nodes, self.probes = map(
-            _read_only, (pts, half, nodes, probes)
-        )
+        first_sweep = np.concatenate([nodes, [lo, lo + step, hi, hi - step]])
+        self.breakpoints, self.half, self.first_sweep = map(_read_only, (pts, half, first_sweep))
 
 
-def _edges_certified(fn, window: _Window, total: float) -> bool:
-    """Check the integrand is relatively negligible at the window edges.
+def _edges_certified(probe_values: np.ndarray, window: _Window, total: float) -> bool:
+    """Check the integrand is relatively negligible at the window edges,
+    from its values at the four edge probes of the first sweep.
 
-    Returns False (diagnosed divergent) when either edge is non-negligible
-    and still growing outward.  Otherwise a non-negligible but decaying edge
-    means a finite integral is undercovered and raises QuadratureError.
+    Returns False (diagnosed divergent) when a probe value is not finite, or
+    either edge is non-negligible and still growing outward.  Otherwise a
+    non-negligible but decaying edge means a finite integral is undercovered
+    and raises QuadratureError.
     """
-    lo, _, hi, _ = window.probes.tolist()
+    lo, hi = window.breakpoints[[0, -1]].tolist()
     width = hi - lo
     negligible = max(_ABSOLUTE_TOLERANCE, _RELATIVE_TOLERANCE * abs(total))
-    # both edges and a point just inside each, in one integrand call
-    values = np.abs(fn(window.probes))
+    values = np.abs(probe_values)
     if not np.isfinite(values).all():
         return False
     lo_val, lo_inside, hi_val, hi_inside = values.tolist()
@@ -452,8 +456,8 @@ def _window_breakpoints(pair: GaussianPair) -> np.ndarray:
 
 
 class _QuadraturePlan(_Window):
-    """A pair's window and first sweep, with log p, log q and log g at its
-    nodes and probes computed once for every integral on the pair.
+    """A pair's window and first sweep, with log p, log q and log g on the
+    first sweep's points computed once for every integral on the pair.
 
     The plan holds arrays only, no reference to the pair, so a pair and its
     plan form no reference cycle.
@@ -461,24 +465,20 @@ class _QuadraturePlan(_Window):
 
     def __init__(self, pair: GaussianPair):
         super().__init__(_window_breakpoints(pair))
-        self._at_nodes, self._at_probes = (
-            tuple(_read_only(log_density(x)) for log_density in _log_densities(pair))
-            for x in (self.nodes, self.probes)
+        self._at_first_sweep = tuple(
+            _read_only(log_density(self.first_sweep)) for log_density in _log_densities(pair)
         )
 
     def integral(self, pair: GaussianPair, terms: Callable[..., np.ndarray]) -> float:
         """``adaptive_integral`` over the plan of terms(x, log p, log q, log g).
 
-        On the plan's own nodes and probes the log densities are its
-        read-only arrays; elsewhere, such as on a later sweep's nodes, each of
-        the three is computed once.
+        On the plan's first sweep the log densities are its read-only
+        arrays; on a later sweep's nodes each of the three is computed once.
         """
 
         def integrand(x):
-            if x is self.nodes:
-                return terms(x, *self._at_nodes)
-            if x is self.probes:
-                return terms(x, *self._at_probes)
+            if x is self.first_sweep:
+                return terms(x, *self._at_first_sweep)
             return terms(x, *(log_density(x) for log_density in _log_densities(pair)))
 
         return adaptive_integral(integrand, self)
@@ -557,7 +557,9 @@ def _parallel_map(fn: Callable, items: Iterable, particles: int) -> list:
     min(units, CPUs in the affinity) threads, each in a copy of the caller's
     context, so the caller's ``np.errstate`` holds in them; otherwise, or
     with one CPU, they run in order on the calling thread.  Results come
-    back in input order, and the first unit's exception is raised.
+    back in input order, and the first unit's exception is raised.  After a
+    threaded run, glibc's ``malloc_trim`` returns the free memory the
+    workers' malloc arenas hold, which otherwise stays resident.
     """
     items = list(items)
     if hasattr(os, "sched_getaffinity"):
@@ -573,11 +575,22 @@ def _parallel_map(fn: Callable, items: Iterable, particles: int) -> list:
     with ThreadPoolExecutor(workers) as pool:
         futures = [pool.submit(contextvars.copy_context().run, fn, item) for item in items]
         try:
-            return [future.result() for future in futures]
+            results = [future.result() for future in futures]
         finally:
             # after a failure, units not yet started are dropped
             for future in futures:
                 future.cancel()
+    _trim_malloc_arenas()
+    return results
+
+
+def _trim_malloc_arenas() -> None:
+    """``malloc_trim(0)`` where the C library is glibc; elsewhere nothing."""
+    import ctypes
+
+    trim = getattr(ctypes.CDLL(None), "malloc_trim", None) if os.name == "posix" else None
+    if trim is not None:
+        trim(0)
 
 
 _MC_CHUNK = 1_000_000

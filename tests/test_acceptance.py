@@ -107,7 +107,7 @@ def test_criterion_05_table3_chi2_dashes():
     for line in dash_rows:
         fields = line.split(",")
         assert fields[2] == fields[5] == fields[6] == fields[7] == "---"
-    payload = render_json("table3", records, config={})
+    payload = render_json(records, config={})
     import json
 
     nulls = [row for row in json.loads(payload)["rows"]

@@ -58,15 +58,20 @@ def test_tracer_sees_closed_forms_bounds_and_the_pair_model():
 
 def test_tracer_sees_every_quadrature_integral():
     """The pair's integrals reach ``adaptive_integral`` through the module
-    global the tracer wraps, so each one is a span and its integrand counted."""
-    tracer = load_perfbench("tracing").Tracer()
-    argv = ["bounds", "--target-mean", "2", "--method", "quadrature", "--format", "json"]
-    with tracer, contextlib.redirect_stdout(io.StringIO()):
-        tracer.begin_op(0)
-        assert cli.main(argv) == 0
-        tracer.end_op()
-    assert tracer.stats["gaussian.adaptive_integral"].calls == 4
-    assert tracer.counters["gaussian.integrand.evals"] > 0
+    global the tracer wraps, so each one is a span and its integrand counted.
+    Every integral of these commands converges in its first sweep, which also
+    covers the window-edge probes: one integrand call per integral."""
+    for argv, integrals in (
+        (["bounds", "--target-mean", "2", "--method", "quadrature", "--format", "json"], 4),
+        (["table3", "--method", "quadrature"], 16),
+    ):
+        tracer = load_perfbench("tracing").Tracer()
+        with tracer, contextlib.redirect_stdout(io.StringIO()):
+            tracer.begin_op(0)
+            assert cli.main(argv) == 0
+            tracer.end_op()
+        assert tracer.stats["gaussian.adaptive_integral"].calls == integrals
+        assert tracer.counters["gaussian.integrand.evals"] == integrals
 
 
 def test_tracer_survives_threaded_monte_carlo_cells(cpus, drawing_threads):

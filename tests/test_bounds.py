@@ -340,3 +340,21 @@ class TestMaxCertifiableSize:
         assert necessary_sample_size(2.0, HELL, BUDGET).threshold == pytest.approx(
             max_certifiable_size(HELL, BUDGET)
         )
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: necessary_sample_size(0.0, CHI2, ToleranceBudget(0.1, 2.0)),
+                 "makes the chi2 threshold nonpositive", id="nonpositive-threshold"),
+    pytest.param(lambda: necessary_condition_holds(math.nan, 5, BUDGET, KULLBACK_LEIBLER),
+                 "divergence must not be NaN", id="nan-divergence"),
+    pytest.param(lambda: SampleSizeReport(KL, DivergenceValue(1.0, "closed_form"), math.inf,
+                                          BUDGET),
+                 "infinite exactly when the divergence is", id="infinite-threshold"),
+    pytest.param(lambda: SampleSizeReport(KL, DivergenceValue(1.0, "closed_form"), -1.0, BUDGET),
+                 "finite thresholds must be positive, got -1.0", id="negative-threshold"),
+    pytest.param(lambda: necessary_size_from_generator(-1.0, KULLBACK_LEIBLER, BUDGET),
+                 "divergence must be nonnegative, got -1.0", id="negative-divergence"),
+])
+def test_rejects_invalid_arguments(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

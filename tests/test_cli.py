@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import os
 import tracemalloc
 from pathlib import Path
 
@@ -97,7 +98,7 @@ class TestTable3:
                 assert fields[2] == "---"  # divergence
                 assert fields[5] == "---"  # threshold
                 assert fields[7] == "---"  # necessary integer
-        payload = json.loads(render_json("table3", records, config={}))
+        payload = json.loads(render_json(records, config={}))
         heavy = [
             row
             for row in payload["rows"]
@@ -105,6 +106,17 @@ class TestTable3:
         ]
         assert len(heavy) == 2
         assert all(row["divergence"] is None and row["threshold"] is None for row in heavy)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    pytest.param({"method": "bogus"}, "unknown divergence method 'bogus'", id="method"),
+    pytest.param({"metric": "nope"}, "unknown metric 'nope'", id="metric"),
+    pytest.param({"metric": "custom"}, "metric 'custom' has no Gaussian closed form",
+                 id="custom-metric"),
+])
+def test_run_table2_rejects_unknown_settings(kwargs, message):
+    with pytest.raises(ConfigError, match=message):
+        run_table2(**kwargs)
 
 
 class TestTable1:
@@ -437,6 +449,18 @@ class TestInvalidConfigExitsTwo:
         )
         assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
         assert (tmp_path / "file").read_text() == "kept"
+
+    # the --out check also needs write access to /dev, which a non-root user lacks
+    @pytest.mark.skipif(not (os.path.exists("/dev/full") and os.access("/dev", os.W_OK)),
+                        reason="needs /dev/full in a writable /dev")
+    def test_out_that_fails_while_writing(self, capsys):
+        # /dev/full passes the --out check, and every write to it fails with ENOSPC
+        assert main(["table1", "--out", "/dev/full"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "isbound: config error: cannot write --out /dev/full: No space left on device\n"
+        )
 
     def test_checking_out_leaves_an_existing_file_as_it_is(self, tmp_path, capsys):
         path = tmp_path / "x.csv"

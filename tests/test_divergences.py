@@ -300,3 +300,19 @@ class TestInequalityReport:
     def test_rejects_negative(self):
         with pytest.raises(ValueError, match="nonnegative"):
             check_divergence_inequalities(-0.1, 0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: discrete_divergence(np.full((2, 2), 0.25), [0.5, 0.5], KULLBACK_LEIBLER),
+                 "weight vectors must be one-dimensional", id="2d-vector"),
+    pytest.param(lambda: MassVector([]), "mass vector must be nonempty", id="empty"),
+    pytest.param(lambda: MassVector([math.inf]), "mass vector entries must be finite",
+                 id="infinite-mass"),
+    pytest.param(lambda: DivergenceValue(math.nan, "closed_form"),
+                 "divergence value must not be NaN", id="nan-value"),
+    pytest.param(lambda: DivergenceValue(1.0, "monte_carlo", std_error=-1.0, sample_count=10),
+                 "std_error must be nonnegative", id="negative-std-error"),
+])
+def test_rejects_invalid_arguments(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -389,8 +389,33 @@ class TestAdaptiveIntegralContract:
         assert adaptive_integral(lambda x: np.exp(0.25 * x), [-40.0, 40.0]) == math.inf
 
     def test_decaying_but_non_negligible_edge_raises(self):
-        with pytest.raises(QuadratureError, match="widen"):
+        edge_value = 0.011108996538242306  # exp(-4.5)
+        with pytest.raises(QuadratureError) as excinfo:
             adaptive_integral(lambda x: np.exp(-0.5 * x * x), [-3.0, 3.0])
+        assert str(excinfo.value) == (
+            f"integrand is not negligible at window edge -3.0 (value {edge_value!r}) and "
+            f"window edge 3.0 (value {edge_value!r}); widen the integration window"
+        )
+
+    def test_edge_infinite_only_at_the_probes_is_infinite(self):
+        # no Kronrod node is an endpoint, so only the edge probes see the +inf
+        def integrand(x):
+            return np.where(np.abs(x) >= 3, np.inf, np.exp(-x * x / 2))
+
+        assert adaptive_integral(integrand, [-3.0, 3.0]) == math.inf
+
+    def test_first_sweep_convergence_makes_one_call(self):
+        calls = []
+
+        def integrand(x):
+            calls.append(x.copy())
+            return np.exp(-0.5 * x * x)
+
+        total = adaptive_integral(integrand, np.linspace(-40.0, 40.0, 81))
+        assert total == pytest.approx(math.sqrt(2.0 * math.pi), rel=1e-14)
+        # the 80 panels' nodes, then both edges and a point 0.08 inside each
+        assert [x.size for x in calls] == [80 * 15 + 4]
+        assert calls[0][-4:].tolist() == [-40.0, -40.0 + 0.08, 40.0, 40.0 - 0.08]
 
     def test_unresolvable_integrand_exhausts_the_subdivision_budget(self):
         # sin(1/(x - c)) oscillates infinitely often near c; c = c_hi + c_lo is
@@ -402,6 +427,16 @@ class TestAdaptiveIntegralContract:
 
         with pytest.raises(QuadratureError, match="subdivisions"):
             adaptive_integral(integrand, [-1.0, 1.0])
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: Gaussian1D(math.nan, 1.0), "parameters must be finite", id="nan-mean"),
+    pytest.param(lambda: adaptive_integral(np.exp, [1.0, 1.0]),
+                 "need at least two distinct breakpoints", id="one-breakpoint"),
+])
+def test_rejects_invalid_arguments(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 class TestMonteCarlo:

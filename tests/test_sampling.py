@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import os
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -374,6 +375,22 @@ class TestBreakdownReport:
         assert report.failure_frequency == 0.6
 
 
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: WeightedEmpiricalMeasure(np.zeros((2, 2)), np.ones((2, 2)), 0),
+                 "particles and weights must be one-dimensional", id="2d-particles"),
+    pytest.param(lambda: exact_mse(shifted_model(1.0), Observable.one(), 0),
+                 "sample size must be at least 1, got 0", id="zero-size"),
+    pytest.param(lambda: normalized_weights(
+        WeightedEmpiricalMeasure(np.zeros(2), np.array([1.0, math.inf]), 0)
+    ), "cannot normalize weights with non-finite total mass", id="infinite-weight"),
+    pytest.param(lambda: BreakdownReport(3, 5, BUDGET, 4, 4, 4),
+                 "failure count cannot exceed the number of replicates", id="failures"),
+])
+def test_rejects_invalid_arguments(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def summed_trial_counts(model, f, exact, n, replicates, seed):
     """Failure and violation counts of per-seed trials, run one at a time."""
     seeds = np.random.SeedSequence(seed).generate_state(replicates, dtype=np.uint64)
@@ -556,13 +573,13 @@ def test_integrals_on_one_pair_share_its_quadrature_plan(monkeypatch):
     for phi in (Observable.one(), Observable.identity()):
         exact_mse(pair, phi, 1)
     # every integral here converges in the first sweep, so log g is computed
-    # on the plan's nodes and probes only
+    # once, on the plan's first sweep, which holds the edge probes too
     assert len(windows) == 1
-    assert calls["log_ratio"] == 2
+    assert calls["log_ratio"] == 1
     # custom generators read the plan's log g too
     for gen in (custom_generator(CHI_SQUARED.fn, CHI_SQUARED.value_at_zero), QUARTIC):
         quadrature_divergence(pair, gen)
-    assert calls["log_ratio"] == 2
+    assert calls["log_ratio"] == 1
 
     other = make_gaussian_model(Gaussian1D(2.0, 1.0), STD_NORMAL)
     assert other == pair
@@ -578,8 +595,8 @@ def test_integrals_on_one_pair_share_its_quadrature_plan(monkeypatch):
         return np.zeros_like(x)
 
     assert plan.integral(pair, record_log_ratio) == 0.0
-    assert len(shared_log_ratios) == 2  # on the plan's nodes, then its probes
-    for array in (plan.breakpoints, plan.nodes, plan.probes, *shared_log_ratios):
+    assert len(shared_log_ratios) == 1  # on the plan's first sweep only
+    for array in (plan.breakpoints, plan.half, plan.first_sweep, *shared_log_ratios):
         assert not array.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         plan.breakpoints[0] = 0.0
@@ -687,6 +704,22 @@ class TestParallelMap:
         on_main = {threading.main_thread()} == set(threads)
         assert on_main == (count == 1 or particles < _PARALLEL_PARTICLES)
         return list(results)
+
+    def test_cpu_count_without_affinity_masks(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        for count, on_main in ((None, True), (1, True), (2, False)):
+            monkeypatch.setattr(os, "cpu_count", lambda: count)
+            threads = _parallel_map(on_thread(lambda i: i), range(2), _PARALLEL_PARTICLES)
+            assert ({threading.main_thread()} == {thread for thread, _ in threads}) == on_main
+
+    def test_threaded_runs_trim_the_malloc_arenas(self, cpus, monkeypatch):
+        gaussian._trim_malloc_arenas()  # a no-op where the C library has no malloc_trim
+        trims = []
+        monkeypatch.setattr(gaussian, "_trim_malloc_arenas", lambda: trims.append(None))
+        for count, expected in ((1, 0), (2, 1)):
+            cpus(count)
+            assert _parallel_map(abs, [-1, -2], _PARALLEL_PARTICLES) == [1, 2]
+            assert len(trims) == expected
 
     def test_results_come_back_in_input_order(self, cpus):
         items = list(range(20))
