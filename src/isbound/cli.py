@@ -45,7 +45,7 @@ from .gaussian import (
     monte_carlo_divergence,
     quadrature_divergence,
 )
-from .sampling import _normalized, breakdown_probability, ess_chi2, ess_kl, sample_particles
+from .sampling import _streamed_ess, breakdown_probability
 
 __all__ = [
     "ConfigError",
@@ -307,16 +307,14 @@ def run_ess(
     n_particles: int,
     seed: int = 0,
 ) -> dict:
-    """Sample one particle set and report both effective-sample-size diagnostics."""
-    pair = make_gaussian_model(target, proposal)
-    # the particles are freed with the measure, before the weights are normalized
-    weights = sample_particles(pair, n_particles, seed).weights
-    total_mass, w_hat = float(weights.sum()), _normalized(weights)
-    del weights  # freed before the ESS sums run
+    """Stream one particle set and report both effective-sample-size diagnostics."""
+    ess_kl, ess_chi2, total_mass = _streamed_ess(
+        make_gaussian_model(target, proposal), n_particles, seed
+    )
     return {
         "n_particles": n_particles,
-        "ess_kl": ess_kl(w_hat),
-        "ess_chi2": ess_chi2(w_hat),
+        "ess_kl": ess_kl,
+        "ess_chi2": ess_chi2,
         "total_mass": total_mass,
         "seed": seed,
     }

@@ -15,7 +15,8 @@ exactly what ``default_rng(seed)`` would.  Blocks of replicates holding
 2^14 particles or more run on one thread per CPU (``_parallel_map``); the
 counts are summed in block order and do not depend on the thread count.
 Density ratios come from ``GaussianPair.ratios``, which works through
-large draws in cache-sized blocks.
+large draws in cache-sized blocks.  The CLI's ESS streams log ratios through
+the same blocks into a few running sums (``_streamed_ess``).
 """
 
 from __future__ import annotations
@@ -31,9 +32,12 @@ import numpy as np
 from .bounds import ToleranceBudget
 from .divergences import ConvexGenerator, ProbabilityVector, _frozen, _generator_values
 from .gaussian import (
+    _EXP_UNDERFLOW,
+    _RATIO_BLOCK,
     GaussianPair,
     SeedLike,
     WeightOverflowWarning,
+    _exp_ratios,
     _parallel_map,
     _weighted_variance,
 )
@@ -155,17 +159,12 @@ def exact_mse(pair: GaussianPair, phi: Observable, n: int) -> float:
 
 def normalized_weights(measure: WeightedEmpiricalMeasure) -> ProbabilityVector:
     """Weights divided by their total mass."""
-    return _normalized(measure.weights)
-
-
-def _normalized(weights: np.ndarray) -> ProbabilityVector:
-    """``normalized_weights`` of a weight array, without the measure's particles."""
-    total = float(weights.sum())
+    total = float(measure.weights.sum())
     if not math.isfinite(total):
         raise ValueError("cannot normalize weights with non-finite total mass")
     if total <= 0:
         raise ValueError("cannot normalize all-zero weights")
-    entries = weights / total
+    entries = measure.weights / total
     entries.setflags(write=False)
     return ProbabilityVector(entries)
 
@@ -190,6 +189,49 @@ def ess_kl(w_hat: ProbabilityVector) -> float:
     np.log(terms, out=terms)
     terms *= w
     return n / math.exp(float(terms.sum()))
+
+
+def _streamed_ess(pair: GaussianPair, n: int, seed: int) -> tuple[float, float, float]:
+    """ESS_kl, ESS_chi2 and total mass of ``sample_particles(pair, n, seed)``.
+
+    One generator draws the same particles in blocks of 2^15, so memory does
+    not grow with n.  Only log g is formed: with M the running maximum of
+    log g and e = exp(log g - M), the sums S1 = sum e, S2 = sum e^2 and
+    T = sum e (log g - M) are rescaled whenever M grows.  The ESS values are
+    scale-invariant: ESS_chi2 = S1^2 / S2 and ESS_kl = exp(log S1 - T / S1).
+    The total mass exp(M) S1 / N reads 0.0 or +inf outside float range.
+    """
+    if n < 1:
+        raise ValueError(f"particle count must be at least 1, got {n}")
+    rng = np.random.default_rng(seed)
+    top, s1, s2, t = -math.inf, 0.0, 0.0, 0.0
+    for start in range(0, n, _RATIO_BLOCK):
+        log_ratio = pair.log_ratio(pair.proposal_sampler(min(_RATIO_BLOCK, n - start), rng))
+        block_top = float(log_ratio.max())
+        if not block_top < math.inf:
+            raise ValueError("cannot normalize weights with a NaN or +inf log weight")
+        if block_top > top:
+            if top > -math.inf:
+                step = top - block_top
+                scale = math.exp(step)
+                t = scale * (t + step * s1)
+                s1 *= scale
+                s2 *= scale * scale
+            top = block_top
+        elif top == -math.inf:
+            continue  # every weight so far is zero
+        log_ratio -= top
+        e = _exp_ratios(log_ratio)
+        # where e is 0, a log ratio of -inf would make e (log g - M) NaN
+        np.maximum(log_ratio, _EXP_UNDERFLOW, out=log_ratio)
+        s1 += float(e.sum())
+        s2 += float(np.dot(e, e))
+        t += float(np.dot(e, log_ratio))
+    if top == -math.inf:
+        raise ValueError("cannot normalize all-zero weights")
+    with np.errstate(over="ignore"):
+        total_mass = float(np.exp(top + math.log(s1) - math.log(n)))
+    return math.exp(math.log(s1) - t / s1), s1 * s1 / s2, total_mass
 
 
 @dataclass(frozen=True)

@@ -191,17 +191,25 @@ class TestEss:
         report = run_ess(Gaussian1D(3, 1), Gaussian1D(0, 1), n_particles=100, seed=0)
         assert 1.0 <= report["ess_chi2"] <= report["ess_kl"] <= 100.0
 
-    def test_at_most_two_particle_arrays_are_live(self):
-        # the weights are taken without a copy, and the particles are freed
-        # before the weights are normalized
-        n = 1_000_000
-        tracemalloc.start()
-        try:
-            run_ess(Gaussian1D(2, 1), Gaussian1D(0, 1), n_particles=n, seed=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.5 * 8 * n
+    def test_memory_does_not_grow_with_the_particle_count(self):
+        # the particles are streamed in blocks of 2^15; a few blocks are live at once
+        for n in (1_000_000, 4_000_000):
+            tracemalloc.start()
+            try:
+                run_ess(Gaussian1D(2, 1), Gaussian1D(0, 1), n_particles=n, seed=1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * 2**20, n
+
+    def test_all_weights_underflowing_still_give_an_ess(self, capsys):
+        # every g underflows (log g < -750), yet the ESS is defined by log g alone
+        argv = ["ess", "--target-mean", "50", "--particles", "100000", "--format", "json"]
+        assert main(argv) == 0
+        (row,) = json.loads(capsys.readouterr().out)["rows"]
+        assert 1.0 <= row["ess_kl"] <= 1.0001
+        assert 1.0 <= row["ess_chi2"] <= 1.0001
+        assert row["total_mass"] == 0.0
 
 
 class TestMainEntry:
@@ -439,7 +447,7 @@ class TestInvalidConfigExitsTwo:
         def no_sampling(*args):
             raise AssertionError("an unwritable --out must be refused before sampling")
 
-        monkeypatch.setattr(cli, "sample_particles", no_sampling)
+        monkeypatch.setattr(cli, "_streamed_ess", no_sampling)
         (tmp_path / "file").write_text("kept")
         path = {"missing-directory": tmp_path / "missing" / "x.csv", "directory": tmp_path,
                 "file-as-directory": tmp_path / "file" / "x.csv"}[where]

@@ -284,6 +284,78 @@ def test_property_ess_within_range(raw):
     assert 1.0 - 1e-9 <= ess_kl(w) <= n + 1e-9
 
 
+class HalfZeroRatioPair(GaussianPair):
+    """Draws from N(0, 1), with g = 1 at positive draws and log g = -inf elsewhere."""
+
+    def log_ratio(self, x):
+        return np.where(np.asarray(x, dtype=float) > 0.0, 0.0, -np.inf)
+
+
+STREAMED_SIZES = [_RATIO_BLOCK - 1, _RATIO_BLOCK, _RATIO_BLOCK + 1, 3 * _RATIO_BLOCK + 7]
+
+
+class TestStreamedEss:
+    """``_streamed_ess`` against the definitional ESS of the full weight vector."""
+
+    # N(0, 1e-4) underflows most weights to zero
+    @pytest.mark.parametrize("n", STREAMED_SIZES)
+    @pytest.mark.parametrize("mean, variance", [(2.0, 1.0), (3.5, 1.0), (0.0, 1e-4), (0.0, 16.0)])
+    def test_matches_the_full_weight_vector(self, mean, variance, n):
+        pair = shifted_model(mean, variance)
+        measure = sample_particles(pair, n, seed=19)
+        assert (variance == 1e-4) == (measure.weights.min() == 0.0)
+        w_hat = normalized_weights(measure)
+        expected = (ess_kl(w_hat), ess_chi2(w_hat), measure.total_mass())
+        streamed = sampling._streamed_ess(pair, n, 19)
+        for value, reference in zip(streamed, expected):
+            assert value == pytest.approx(reference, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("n", STREAMED_SIZES)
+    def test_blocks_draw_the_particles_of_one_draw(self, n):
+        pair = shifted_model(2.0)
+        rng = np.random.default_rng(19)
+        sizes = [min(_RATIO_BLOCK, n - start) for start in range(0, n, _RATIO_BLOCK)]
+        blocks = np.concatenate([pair.proposal_sampler(size, rng) for size in sizes])
+        np.testing.assert_array_equal(blocks, pair.proposal_sampler(n, 19))
+
+    def test_growing_maximum_rescales_the_sums(self):
+        # log g = 300 v: the third block raises the running maximum by about 23
+        pair, n = SteepRatioPair(STD_NORMAL, STD_NORMAL), 3 * _RATIO_BLOCK + 7
+        shifted = pair.log_ratio(pair.proposal_sampler(n, 8))
+        shifted -= shifted.max()
+        e = np.exp(shifted)
+        kl = math.exp(math.log(e.sum()) - float(e @ shifted) / e.sum())
+        ess = sampling._streamed_ess(pair, n, 8)
+        assert ess[:2] == pytest.approx((kl, e.sum() ** 2 / (e @ e)), rel=1e-12)
+        assert ess[2] == math.inf
+
+    # log g = 705 is past the ratios' overflow cut, yet its total mass is a float
+    @pytest.mark.parametrize(
+        "level, mass", [(720.0, math.inf), (-800.0, 0.0), (705.0, math.exp(705.0))]
+    )
+    def test_total_mass_past_float_range(self, level, mass):
+        n = _RATIO_BLOCK + 1
+        ess_kl_value, ess_chi2_value, total_mass = sampling._streamed_ess(
+            overflowing_model(level), n, seed=1
+        )
+        assert ess_kl_value == pytest.approx(n, rel=1e-12)
+        assert ess_chi2_value == n
+        assert total_mass == pytest.approx(mass, rel=1e-12, abs=0.0)
+
+    def test_zero_weights_from_infinite_log_ratios(self):
+        pair, n = HalfZeroRatioPair(STD_NORMAL, STD_NORMAL), 3 * _RATIO_BLOCK + 7
+        positive = int(np.count_nonzero(pair.proposal_sampler(n, 4) > 0.0))
+        ess_kl_value, ess_chi2_value, total_mass = sampling._streamed_ess(pair, n, 4)
+        assert ess_kl_value == pytest.approx(positive, rel=1e-12)
+        assert ess_chi2_value == positive
+        assert total_mass == pytest.approx(positive / n, rel=1e-12)
+
+    @pytest.mark.parametrize("level, message", [(-math.inf, "all-zero"), (math.nan, "NaN")])
+    def test_undefined_ess_is_refused(self, level, message):
+        with pytest.raises(ValueError, match=message):
+            sampling._streamed_ess(overflowing_model(level), 10, seed=1)
+
+
 class TestBreakdownTrial:
     def test_identical_pair_passes_both_conditions(self):
         model = make_gaussian_model(STD_NORMAL, STD_NORMAL)
