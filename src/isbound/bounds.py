@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from .divergences import (
     ConvexGenerator,
     DivergenceKind,
@@ -33,9 +35,6 @@ __all__ = [
     "necessary_size_from_generator",
     "max_certifiable_size",
 ]
-
-_MAX_SEARCH_N = 2**63
-
 
 @dataclass(frozen=True)
 class ToleranceBudget:
@@ -269,7 +268,8 @@ def necessary_size_from_generator(
     rounding.  The search needs the bound to be nondecreasing in N, which
     convexity guarantees: with c = 1 + epsilon,
     bound(N) = f(0) + c [f(cN) - f(0)] / (cN), and the secant slope
-    [f(x) - f(0)] / x of a convex f does not decrease in x.
+    [f(x) - f(0)] / x of a convex f does not decrease in x.  A ValueError
+    names float range when cN or the bound leaves it before reaching d.
     """
     value = float(d_f)
     if math.isnan(value) or value < 0:
@@ -280,14 +280,18 @@ def necessary_size_from_generator(
     tol = 4.0 * math.ulp(value)
 
     def satisfied(n: int) -> bool:
-        return divergence_bound(n, f, budget.epsilon) + budget.delta >= value - tol
+        try:
+            in_range = (1.0 + budget.epsilon) * n < math.inf
+        except OverflowError:  # n itself is past float range
+            in_range = False
+        with np.errstate(over="ignore"):
+            bound = divergence_bound(n, f, budget.epsilon) if in_range else math.inf
+        if not bound < math.inf:
+            raise ValueError(f"the bound leaves float range before reaching divergence {value!r}")
+        return bound + budget.delta >= value - tol
 
     hi = 1
     while not satisfied(hi):
-        if hi > _MAX_SEARCH_N:
-            raise ValueError(
-                f"no sample size up to 2^63 satisfies the bound for divergence {value!r}"
-            )
         hi *= 2
     # invariant: satisfied(hi), not satisfied(lo) for lo >= 1
     lo = hi // 2

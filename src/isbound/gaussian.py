@@ -11,7 +11,7 @@ for a target variance >= 2, surfaces as integrand overflow and is reported
 as an infinite value rather than an error.  Every quadrature integral on one
 pair shares its window, first sweep (with the window-edge probes) and log
 densities, built on first use.  Each integrand is a function
-``terms(x, log p, log q, log g)`` of arrays, evaluated through the pair's plan.
+``terms(x, log p, log q, log g)`` of arrays, integrated by ``GaussianPair._integral``.
 
 ``GaussianPair.ratios`` computes density ratios in cache-sized blocks of
 2^15 draws, into one output array, so no full-length log-ratio array is
@@ -144,11 +144,31 @@ class GaussianPair:
         log_ratio += shift
         return log_ratio
 
+    def _log_densities(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """log p, log q and log g at x."""
+        return self.target.log_pdf(x), self.proposal.log_pdf(x), self.log_ratio(x)
+
     @functools.cached_property
-    def _quadrature_plan(self) -> "_QuadraturePlan":
-        """The window, first sweep and log densities that every quadrature
-        integral on this pair shares; built on first use."""
-        return _QuadraturePlan(self)
+    def _quadrature_plan(self) -> _Window:
+        """The window of every quadrature integral on this pair, with its first
+        sweep's read-only log p, log q and log g as ``log_densities``; built on
+        first use.  It holds arrays only, so it forms no reference cycle with the pair."""
+        window = _Window(_window_breakpoints(self))
+        window.log_densities = tuple(map(_read_only, self._log_densities(window.first_sweep)))
+        return window
+
+    def _integral(self, terms: Callable[..., np.ndarray]) -> float:
+        """``adaptive_integral`` over the pair's window of terms(x, log p, log q, log g),
+        with the plan's log densities on its first sweep and, on a later sweep's
+        nodes, each of the three computed once."""
+        plan = self._quadrature_plan
+
+        def integrand(x):
+            if x is plan.first_sweep:
+                return terms(x, *plan.log_densities)
+            return terms(x, *self._log_densities(x))
+
+        return adaptive_integral(integrand, plan)
 
     def proposal_sampler(self, n: int, seed: SeedLike) -> np.ndarray:
         q = self.proposal
@@ -190,17 +210,23 @@ def make_gaussian_model(target: Gaussian1D, proposal: Gaussian1D) -> GaussianPai
     return GaussianPair(target, proposal)
 
 
+def _log_ratio_quadratic(target: Gaussian1D, proposal: Gaussian1D) -> tuple[float, float, float]:
+    """(a, b, c) with log target(x) - log proposal(x) = a x^2 + b x + c."""
+    mp, vp = target.mean, target.variance
+    mq, vq = proposal.mean, proposal.variance
+    a = 1.0 / (2.0 * vq) - 1.0 / (2.0 * vp)
+    b = mp / vp - mq / vq
+    c = 0.5 * math.log(vq / vp) - mp**2 / (2.0 * vp) + mq**2 / (2.0 * vq)
+    return a, b, c
+
+
 def density_crossings(target: Gaussian1D, proposal: Gaussian1D) -> tuple[float, ...]:
     """Roots of log target - log proposal = 0, sorted ascending.
 
     Equal variances give at most one crossing; distinct variances give two.
     An identical pair has no isolated crossing and returns ().
     """
-    mp, vp = target.mean, target.variance
-    mq, vq = proposal.mean, proposal.variance
-    a = 1.0 / (2.0 * vq) - 1.0 / (2.0 * vp)
-    b = mp / vp - mq / vq
-    c = 0.5 * math.log(vq / vp) - mp**2 / (2.0 * vp) + mq**2 / (2.0 * vq)
+    a, b, c = _log_ratio_quadratic(target, proposal)
     if a == 0.0:
         if b == 0.0:
             return ()
@@ -366,7 +392,8 @@ class _Window:
 
     The first sweep is the panels' 15 nodes each, then the four edge probes
     that ``_edges_certified`` reads: both edges and a point a thousandth of
-    the width inside each, as ``[lo, lo + step, hi, hi - step]``.
+    the width inside each, as ``[lo, lo + step, hi, hi - step]``.  A pair's
+    window, its ``_quadrature_plan``, also holds ``log_densities``.
     """
 
     def __init__(self, breakpoints):
@@ -428,11 +455,9 @@ def _integrand_bumps(target: Gaussian1D, proposal: Gaussian1D) -> list[tuple[flo
     must cover; nonnegative curvature means that term diverges, which the
     edge certification detects instead.
     """
-    mp, vp = target.mean, target.variance
     mq, vq = proposal.mean, proposal.variance
-    bumps = [(mp, target.std), (mq, proposal.std)]
-    ratio_x2 = 1.0 / (2.0 * vq) - 1.0 / (2.0 * vp)
-    ratio_x1 = mp / vp - mq / vq
+    bumps = [(target.mean, target.std), (mq, proposal.std)]
+    ratio_x2, ratio_x1, _ = _log_ratio_quadratic(target, proposal)
     for a in _RATIO_POWERS:
         x2 = a * ratio_x2 - 1.0 / (2.0 * vq)
         x1 = a * ratio_x1 + mq / vq
@@ -453,39 +478,6 @@ def _window_breakpoints(pair: GaussianPair) -> np.ndarray:
         pts.append(center - scale * _BUMP_OFFSETS)
     pts.append(np.asarray(density_crossings(target, proposal), dtype=float))
     return np.clip(np.concatenate(pts), lo, hi)
-
-
-class _QuadraturePlan(_Window):
-    """A pair's window and first sweep, with log p, log q and log g on the
-    first sweep's points computed once for every integral on the pair.
-
-    The plan holds arrays only, no reference to the pair, so a pair and its
-    plan form no reference cycle.
-    """
-
-    def __init__(self, pair: GaussianPair):
-        super().__init__(_window_breakpoints(pair))
-        self._at_first_sweep = tuple(
-            _read_only(log_density(self.first_sweep)) for log_density in _log_densities(pair)
-        )
-
-    def integral(self, pair: GaussianPair, terms: Callable[..., np.ndarray]) -> float:
-        """``adaptive_integral`` over the plan of terms(x, log p, log q, log g).
-
-        On the plan's first sweep the log densities are its read-only
-        arrays; on a later sweep's nodes each of the three is computed once.
-        """
-
-        def integrand(x):
-            if x is self.first_sweep:
-                return terms(x, *self._at_first_sweep)
-            return terms(x, *(log_density(x) for log_density in _log_densities(pair)))
-
-        return adaptive_integral(integrand, self)
-
-
-def _log_densities(pair: GaussianPair) -> tuple[Callable[[np.ndarray], np.ndarray], ...]:
-    return pair.target.log_pdf, pair.proposal.log_pdf, pair.log_ratio
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -525,24 +517,12 @@ def quadrature_divergence(pair: GaussianPair, f: ConvexGenerator) -> DivergenceV
     adaptive scheme fails its tolerance.
     """
     terms = _BUILTIN_TERMS.get(f.kind) or functools.partial(_generator_terms, f)
-    total = pair._quadrature_plan.integral(pair, terms)
+    total = pair._integral(terms)
     if math.isinf(total):
         return DivergenceValue(math.inf, "quadrature")
     if total < -1e-8:
         raise QuadratureError(f"integral of a nonnegative divergence came out {total!r}")
     return DivergenceValue(max(total, 0.0), "quadrature")
-
-
-def _weighted_variance(pair: GaussianPair, fn: Callable[[np.ndarray], np.ndarray]) -> float:
-    """Var_q(g phi) by quadrature for phi = fn; +inf when E_q[(g phi)^2] diverges."""
-    plan = pair._quadrature_plan
-    m2 = plan.integral(
-        pair, lambda x, lp, lq, lg: np.exp(2.0 * lg + lq) * np.asarray(fn(x), dtype=float) ** 2
-    )
-    if math.isinf(m2):
-        return math.inf
-    m1 = plan.integral(pair, lambda x, lp, lq, lg: np.exp(lp) * np.asarray(fn(x), dtype=float))
-    return max(m2 - m1 * m1, 0.0)
 
 
 # Particles a work unit must hold before ``_parallel_map`` gives it a thread:
@@ -557,9 +537,10 @@ def _parallel_map(fn: Callable, items: Iterable, particles: int) -> list:
     min(units, CPUs in the affinity) threads, each in a copy of the caller's
     context, so the caller's ``np.errstate`` holds in them; otherwise, or
     with one CPU, they run in order on the calling thread.  Results come
-    back in input order, and the first unit's exception is raised.  After a
-    threaded run, glibc's ``malloc_trim`` returns the free memory the
-    workers' malloc arenas hold, which otherwise stays resident.
+    back in input order; the first failing unit's exception is raised, and
+    units not yet started are dropped.  After a threaded run, glibc's
+    ``malloc_trim`` returns the free memory the workers' malloc arenas hold,
+    which otherwise stays resident.
     """
     items = list(items)
     if hasattr(os, "sched_getaffinity"):
@@ -572,14 +553,9 @@ def _parallel_map(fn: Callable, items: Iterable, particles: int) -> list:
     # imported here: small workloads never start a thread
     from concurrent.futures import ThreadPoolExecutor
 
+    contexts = [contextvars.copy_context() for _ in items]
     with ThreadPoolExecutor(workers) as pool:
-        futures = [pool.submit(contextvars.copy_context().run, fn, item) for item in items]
-        try:
-            results = [future.result() for future in futures]
-        finally:
-            # after a failure, units not yet started are dropped
-            for future in futures:
-                future.cancel()
+        results = list(pool.map(lambda context, item: context.run(fn, item), contexts, items))
     _trim_malloc_arenas()
     return results
 

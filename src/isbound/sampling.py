@@ -39,7 +39,6 @@ from .gaussian import (
     WeightOverflowWarning,
     _exp_ratios,
     _parallel_map,
-    _weighted_variance,
 )
 
 __all__ = [
@@ -147,18 +146,26 @@ def estimate(measure: WeightedEmpiricalMeasure, phi: Observable) -> float:
 
 
 def exact_mse(pair: GaussianPair, phi: Observable, n: int) -> float:
-    """Var_Q(g phi) / N computed by quadrature.
+    """Var_Q(g phi) / N, from E_Q[(g phi)^2] and E_Q[g phi] by quadrature.
 
     Returns +inf (diagnosed) when the second moment of g phi under the
     proposal diverges, e.g. the constant function with target variance >= 2.
     """
     if n < 1:
         raise ValueError(f"sample size must be at least 1, got {n}")
-    return _weighted_variance(pair, phi.fn) / n
+    m2 = pair._integral(
+        lambda x, lp, lq, lg: np.exp(2.0 * lg + lq) * np.asarray(phi.fn(x), dtype=float) ** 2
+    )
+    if math.isinf(m2):
+        return math.inf
+    m1 = pair._integral(lambda x, lp, lq, lg: np.exp(lp) * np.asarray(phi.fn(x), dtype=float))
+    return max(m2 - m1 * m1, 0.0) / n
 
 
 def normalized_weights(measure: WeightedEmpiricalMeasure) -> ProbabilityVector:
-    """Weights divided by their total mass."""
+    """Weights divided by their total mass; a ValueError once every linear weight
+    underflows to 0 (N(50, 1) against N(0, 1)), where the CLI's ``ess`` streams
+    log weights instead (``_streamed_ess``)."""
     total = float(measure.weights.sum())
     if not math.isfinite(total):
         raise ValueError("cannot normalize weights with non-finite total mass")

@@ -261,11 +261,19 @@ class TestGenericNecessarySize:
             closed = necessary_sample_size(d, KL, BUDGET).necessary_size
             generic = necessary_size_from_generator(d, KULLBACK_LEIBLER, BUDGET)
             assert abs(generic - closed) <= 1e-13 * closed, d
+        # sizes past 2^63, up to ~1e276
+        for d in (60.0, 300.0, 700.0):
+            closed = necessary_sample_size(d, KL, BUDGET).necessary_size
+            generic = necessary_size_from_generator(d, KULLBACK_LEIBLER, BUDGET)
+            assert abs(generic - closed) <= 1e-12 * closed, d
+        # x log x overflows before the bound reaches d; no RuntimeWarning escapes
+        with pytest.raises(ValueError, match="float range"):
+            necessary_size_from_generator(790.0, KULLBACK_LEIBLER, BUDGET)
 
     def test_unreachable_divergence_is_an_error(self):
         # total variation's inflated cap saturates at 1 + eps/2, so a custom
         # "divergence" beyond it can never be reached
-        with pytest.raises(ValueError, match="2\\^63"):
+        with pytest.raises(ValueError, match="float range"):
             necessary_size_from_generator(1.2, TOTAL_VARIATION, BUDGET)
 
     def test_rejects_infinite_input(self):

@@ -36,7 +36,7 @@ from isbound import (
     quadrature_divergence,
     ratio_moment_is_finite,
 )
-from isbound.gaussian import _generator_terms, _log_densities
+from isbound.gaussian import _generator_terms
 
 STD_NORMAL = Gaussian1D(0.0, 1.0)
 
@@ -190,6 +190,26 @@ class TestClosedForms:
         assert x2 == pytest.approx(expected, rel=1e-12)
         assert x1 == pytest.approx(-expected, rel=1e-12)
 
+    def test_density_crossings_are_roots_of_the_log_ratio(self):
+        rng = np.random.default_rng(20261022)
+        for _ in range(300):
+            mp, mq = rng.uniform(-10.0, 10.0, 2).tolist()
+            vp, vq = np.exp(rng.uniform(-5.0, 5.0, 2)).tolist()
+            proposal = Gaussian1D(mq, vq)
+            # distinct variances, equal variances with distinct means, identical
+            for target, count in ((Gaussian1D(mp, vp), 2), (Gaussian1D(mp, vq), 1), (proposal, 0)):
+                crossings = density_crossings(target, proposal)
+                assert len(crossings) == count and list(crossings) == sorted(crossings)
+                # log g = a x^2 + b x + c
+                a = 1.0 / (2.0 * vq) - 1.0 / (2.0 * target.variance)
+                b = target.mean / target.variance - mq / vq
+                c = (0.5 * math.log(vq / target.variance) - target.mean**2 / (2.0 * target.variance)
+                     + mq**2 / (2.0 * vq))
+                x = np.array(crossings)
+                log_g = make_gaussian_model(target, proposal).log_ratio(x)
+                scale = abs(a) * x**2 + np.abs(b * x) + abs(c) + 1.0
+                assert np.all(np.abs(log_g) <= 1e-9 * scale), (target, proposal)
+
     def test_symmetry_and_asymmetry(self):
         a, b = Gaussian1D(0.7, 4.0), Gaussian1D(-0.3, 1.0)
         assert gaussian_total_variation(a, b).value == pytest.approx(
@@ -278,8 +298,7 @@ class TestQuadrature:
         assert quadrature_divergence(model, gen).value == math.inf
         # at x = 50 the log ratio is 1170 and q underflows to 0: +inf, not NaN
         x = np.array([0.0, 50.0])
-        logs = [log_density(x) for log_density in _log_densities(model)]
-        values = _generator_terms(gen, x, *logs)
+        values = _generator_terms(gen, x, *model._log_densities(x))
         assert math.isfinite(values[0]) and values[1] == math.inf
 
 

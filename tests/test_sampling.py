@@ -4,6 +4,7 @@ import itertools
 import math
 import os
 import threading
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -666,7 +667,7 @@ def test_integrals_on_one_pair_share_its_quadrature_plan(monkeypatch):
         shared_log_ratios.append(log_ratio)
         return np.zeros_like(x)
 
-    assert plan.integral(pair, record_log_ratio) == 0.0
+    assert pair._integral(record_log_ratio) == 0.0
     assert len(shared_log_ratios) == 1  # on the plan's first sweep only
     for array in (plan.breakpoints, plan.half, plan.first_sweep, *shared_log_ratios):
         assert not array.flags.writeable
@@ -836,6 +837,23 @@ class TestParallelMap:
             cpus(count)
             with pytest.raises(ValueError, match="^unit 2$"):
                 _parallel_map(fail_from_two, range(8), _PARALLEL_PARTICLES)
+
+    def test_units_not_started_are_dropped_after_a_failure(self, cpus):
+        started = []
+
+        def unit(i):
+            started.append(i)
+            time.sleep(0.05)
+            if i == 0:
+                raise ValueError("unit 0")
+            return i
+
+        cpus(2)
+        with pytest.raises(ValueError, match="^unit 0$"):
+            _parallel_map(unit, range(40), _PARALLEL_PARTICLES)
+        # two workers start units 0 and 1, and at most one or two more
+        # before the failure of unit 0 cancels the rest
+        assert len(started) < 10
 
     @pytest.mark.skipif(
         int(np.__version__.split(".")[0]) < 2, reason="numpy 1.x keeps np.errstate per thread"
